@@ -10,115 +10,14 @@
 //! gate: the extracted plan must compute the same answer as the input on a
 //! populated database, not merely cost less.
 
-use kola::term::{Func, Pred, Query};
+mod egraph_corpus;
+
+use egraph_corpus::{arb_query, rule_pool};
+use kola::term::Query;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::saturate::term_cost;
-use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb, TermSize};
-use std::sync::Arc;
-
-/// Same untyped-garbage generator family as `tests/index_parity.rs`.
-fn arb_func(rng: &mut Rng, depth: usize) -> Func {
-    if depth == 0 || rng.gen_bool(0.3) {
-        return match rng.gen_range(0..13u32) {
-            0 => Func::Id,
-            1 => Func::Pi1,
-            2 => Func::Pi2,
-            3 => Func::Flat,
-            4 => Func::Bagify,
-            5 => Func::Dedup,
-            6 => Func::BUnion,
-            7 => Func::BFlat,
-            8 => Func::SetUnion,
-            9 => Func::SetIntersect,
-            10 => Func::SetDiff,
-            11 => {
-                let names = ["age", "addr", "city", "name", "child", "zz"];
-                Func::Prim(Arc::from(names[rng.gen_range(0..names.len())]))
-            }
-            _ => Func::ConstF(Box::new(Query::Lit(kola::Value::Int(rng.gen::<i64>())))),
-        };
-    }
-    match rng.gen_range(0..9u32) {
-        0 => Func::Compose(
-            Box::new(arb_func(rng, depth - 1)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        1 => Func::PairWith(
-            Box::new(arb_func(rng, depth - 1)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        2 => Func::Times(
-            Box::new(arb_func(rng, depth - 1)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        3 => Func::Iterate(
-            Box::new(arb_pred_leaf(rng)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        4 => Func::Iter(
-            Box::new(arb_pred_leaf(rng)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        5 => Func::Join(
-            Box::new(arb_pred_leaf(rng)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        6 => Func::BIterate(
-            Box::new(arb_pred_leaf(rng)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        7 => Func::Nest(
-            Box::new(arb_func(rng, depth - 1)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-        _ => Func::Unnest(
-            Box::new(arb_func(rng, depth - 1)),
-            Box::new(arb_func(rng, depth - 1)),
-        ),
-    }
-}
-
-fn arb_pred_leaf(rng: &mut Rng) -> Pred {
-    match rng.gen_range(0..5u32) {
-        0 => Pred::Eq,
-        1 => Pred::Lt,
-        2 => Pred::Gt,
-        3 => Pred::In,
-        _ => Pred::ConstP(rng.gen::<bool>()),
-    }
-}
-
-fn arb_query(rng: &mut Rng, depth: usize) -> Query {
-    let f = arb_func(rng, depth);
-    let base = Query::App(f, Box::new(Query::Extent(Arc::from("P"))));
-    if rng.gen_bool(0.3) {
-        let g = arb_func(rng, depth.saturating_sub(2));
-        Query::PairQ(
-            Box::new(base),
-            Box::new(Query::App(g, Box::new(Query::Extent(Arc::from("Q"))))),
-        )
-    } else {
-        base
-    }
-}
-
-/// The mixed-level pool from `tests/index_parity.rs` (func, pred and query
-/// rules, a backward orientation, and an inert backward one-way rule).
-fn rule_pool(catalog: &Catalog) -> Vec<Oriented<'_>> {
-    let fwd = [
-        "1", "2", "4", "8", "9", "10", "11", "12", // func level
-        "3", "5", "6", "7", "13", "14", "e41", "e42", // pred level
-        "app", "e121", "e176", "e177", "e179", // query level
-    ];
-    let mut rules: Vec<Oriented> = fwd
-        .iter()
-        .map(|id| Oriented::fwd(catalog.get(id).unwrap()))
-        .collect();
-    rules.push(Oriented::bwd(catalog.get("14").unwrap()));
-    rules.push(Oriented::bwd(catalog.get("e120").unwrap())); // one-way
-    rules
-}
+use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, PropDb, TermSize};
 
 /// Cost of a boxed query under the parity model (term size), measured the
 /// same way extraction measures it: interned, normalized, node-counted.
