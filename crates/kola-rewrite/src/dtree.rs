@@ -49,8 +49,10 @@ use crate::egraph::{ClassId, EGraph};
 use crate::engine::Oriented;
 use crate::matching::{pchain_segments, pfunc_tag, ppred_tag, pquery_tag};
 use crate::rule::{Direction, RewritePair};
+use crate::saturate::Heads;
 use kola::intern::{ITerm, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
+use std::sync::OnceLock;
 
 /// Truncation cap on a pattern's edge walk. Patterns longer than this accept
 /// early (superset semantics); the deepest catalog head is well under it.
@@ -267,6 +269,9 @@ pub struct RuleIndex {
     sites: Vec<Vec<(LevelTag, u32)>>,
     /// Reverse-order journal of removals since the last [`RuleIndex::restore`].
     journal: Vec<Removed>,
+    /// The same rule list's heads compiled for e-matching, on first use
+    /// by a saturating run ([`RuleIndex::sat_heads`]).
+    sat_heads: OnceLock<Heads>,
 }
 
 impl RuleIndex {
@@ -442,6 +447,13 @@ impl RuleIndex {
         }
         out.sort_unstable();
         out.dedup();
+    }
+
+    /// The saturating engine's compiled heads of `rules`, the list this
+    /// index was built over: compiled by the first call, then shared. Fast
+    /// engines never call it, so they never pay for the compilation.
+    pub(crate) fn sat_heads(&self, rules: &[Oriented]) -> &Heads {
+        self.sat_heads.get_or_init(|| Heads::compile(rules))
     }
 
     /// Candidate rule positions for a predicate-level e-class, ascending.

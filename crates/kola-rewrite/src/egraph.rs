@@ -118,8 +118,11 @@ impl EGraph {
     }
 
     /// Insert an e-node, returning its (possibly pre-existing) class.
-    pub fn add(&mut self, node: ENode) -> ClassId {
-        let canon = self.canonicalize(&node);
+    pub fn add(&mut self, mut canon: ENode) -> ClassId {
+        // Canonicalize in place: the caller's node is consumed anyway.
+        for k in &mut canon.kids {
+            *k = self.find(*k);
+        }
         if let Some(&c) = self.memo.get(&canon) {
             return self.find(c);
         }

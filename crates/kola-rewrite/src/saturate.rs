@@ -47,22 +47,51 @@
 //! completeness — is what guarantees the differential gate. Budget
 //! exhaustion mid-saturation simply stops asserting new equalities;
 //! extraction still returns the best of everything proven so far (never
-//! worse than the wave).
+//! worse than the wave). The deadline is checked before every class of a
+//! match round as well as between rounds and applications, so one slow
+//! round cannot hold a request past it.
+//!
+//! The matcher is the saturating engine's inner loop, and its allocation
+//! discipline is that a match round allocates nothing per backtracking
+//! step:
+//!
+//! * **Compiled heads.** Each rule head is compiled once per (rule,
+//!   alternative, direction) into flat buffers (`Heads`): ops whose
+//!   children are indices, and `∘` chains flattened into segment lists.
+//!   The compilation rides with the [`RuleIndex`] built over the same rule
+//!   list, on the first saturating run.
+//! * **Slot bindings.** A head's metavariables are numbered at compile
+//!   time; a match binds them into a fixed `Copy` array of class ids.
+//!   Names come back only in apply, to instantiate the body and, for
+//!   rules with preconditions, to build the substitution they check.
+//! * **Scratch stacks.** Matcher calls push their results onto one hit
+//!   stack instead of returning vectors; staged matching (all matches of a
+//!   first child, then the second child under each) reads one stage in
+//!   place and moves the next stage's results down. Chain cursors and
+//!   segment splits live on stacks released when their frame returns,
+//!   and e-nodes are walked by index — class contents cannot change
+//!   before apply.
+//! * **Per-round arena.** Match remainders are spans of one arena,
+//!   cleared (not freed) with the round's match list.
+//!
+//! The search itself — matches found, their order, and the fuel each
+//! bound consumes — is exactly that of a direct recursive matcher, which
+//! `tests/egraph_golden.rs` pins by digest; DESIGN.md §5j records the
+//! measured allocations per request.
 
 use crate::budget::{Budget, RewriteReport, StopReason};
 use crate::dtree::RuleIndex;
 use crate::egraph::{ClassId, EGraph, ENode};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
-use crate::imatch::ipreconditions_hold;
-use crate::imatch::ISubst;
+use crate::imatch::{ipreconditions_hold, ISubst};
+use crate::matching::{pfunc_tag, ppred_tag, pquery_tag};
 use crate::props::PropDb;
-use crate::rule::{Direction, RewritePair, Rule};
+use crate::rule::{Direction, RewritePair};
 use kola::intern::{ITerm, Interner, Payload, Tag};
-use kola::pattern::{PFunc, PPred, PQuery};
+use kola::pattern::{PFunc, PPred, PQuery, VarKind};
 use kola::term::Query;
 use kola::value::Sym;
-use std::collections::BTreeMap;
 
 /// Everything the saturation loop needs besides the graph itself.
 pub struct SaturationParams<'r, 'a> {
@@ -145,8 +174,18 @@ pub fn saturate_from_trajectory(
     let mut sat = Sat {
         eg,
         params,
+        heads: params.index.sat_heads(params.rules),
         it,
         reps: Vec::new(),
+        fuel: 0,
+        classes: Vec::new(),
+        cand: Vec::new(),
+        matches: Vec::new(),
+        rems: Vec::new(),
+        hits: Vec::new(),
+        cursors: Vec::new(),
+        splits: Vec::new(),
+        tails: Vec::new(),
     };
     let mut saturated = false;
     let mut iterations = 0usize;
@@ -160,10 +199,15 @@ pub fn saturate_from_trajectory(
             break;
         }
         sat.refresh_reps(cost);
-        let matches = sat.match_round(report);
+        if !sat.match_round(report, budget) {
+            report.stop = StopReason::DeadlineExpired;
+            sat.eg.rebuild();
+            break;
+        }
+        let matches = std::mem::take(&mut sat.matches);
         let before = sat.eg.version();
         let mut progressed = false;
-        for m in matches {
+        for m in &matches {
             if report.steps >= budget.max_steps {
                 report.stop = StopReason::BudgetExhausted;
                 sat.eg.rebuild();
@@ -175,13 +219,14 @@ pub fn saturate_from_trajectory(
                 break 'outer;
             }
             let v = sat.eg.version();
-            let applied = sat.apply(&m);
+            let applied = sat.apply(m);
             if applied && sat.eg.version() != v {
                 report.steps += 1;
                 report.record_fire(&sat.params.rules[m.pos].rule.id);
                 progressed = true;
             }
         }
+        sat.matches = matches;
         sat.eg.rebuild();
         iterations += 1;
         if !progressed && sat.eg.version() == before {
@@ -219,43 +264,338 @@ pub fn term_cost(t: &ITerm, cost: &dyn CostModel) -> u64 {
     cost.node_cost(t.tag(), t.payload(), &kid_costs)
 }
 
-/// Class-valued metavariable bindings (the e-matching [`ISubst`]).
+/// Most metavariables one rule head may bind (the catalog's largest head
+/// binds 7). A head over the limit is never e-matched; the seed wave still
+/// applies its rule.
+const MAX_SLOTS: usize = 16;
+
+/// Marks a slot no binding has filled yet.
+const UNBOUND: ClassId = ClassId::MAX;
+
+/// Class-valued metavariable bindings of one head match, one slot per
+/// metavariable of the head (numbered at compile time, see [`Heads`]).
 /// Consistency is canonical-class equality: two syntactically different
 /// binding candidates in one class are provably equal, so unifying them is
 /// sound — strictly more matches than the pointer-equality the destructive
 /// matcher requires.
-#[derive(Debug, Clone, Default)]
-struct EBinds {
-    funcs: BTreeMap<Sym, ClassId>,
-    preds: BTreeMap<Sym, ClassId>,
-    objs: BTreeMap<Sym, ClassId>,
+type Slots = [ClassId; MAX_SLOTS];
+
+/// `binds` with `slot` bound to `c`, or `None` when the slot already holds
+/// another class.
+fn bind(mut binds: Slots, slot: u8, c: ClassId) -> Option<Slots> {
+    let s = &mut binds[slot as usize];
+    if *s == UNBOUND {
+        *s = c;
+    } else if *s != c {
+        return None;
+    }
+    Some(binds)
 }
 
-impl EBinds {
-    fn bind(map: &mut BTreeMap<Sym, ClassId>, v: &Sym, c: ClassId) -> bool {
-        match map.get(v) {
-            Some(&existing) => existing == c,
-            None => {
-                map.insert(v.clone(), c);
-                true
-            }
+/// A range into one of the matcher's flat buffers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Everything after the first element.
+    fn tail(self) -> Span {
+        Span {
+            start: self.start + 1,
+            len: self.len - 1,
         }
     }
 }
 
-/// One scheduled rule application: rule position, the alternative whose
-/// head matched, the matched class, bindings, and (for function rules) the
+/// One node of a compiled rule head.
+#[derive(Debug, Clone)]
+enum Op {
+    /// A metavariable: binds the matched class to its slot.
+    Var(u8),
+    /// A constructor without children; tag and payload must agree.
+    Leaf(Tag, Payload),
+    /// A constructor with children: up to three op indices in the
+    /// e-node's kid order, then how many there are.
+    Node(Tag, [u32; 3], u8),
+    /// A `∘` chain, flattened: its segments are `Heads::segs[span]`, none of
+    /// them a `∘` itself.
+    Chain(Span),
+}
+
+/// One compiled alternative of an oriented rule.
+#[derive(Debug, Clone)]
+struct Head {
+    /// Index into the rule's `alts`.
+    alt: usize,
+    level: Level,
+    /// Root op: a [`Op::Chain`] at the function level.
+    root: u32,
+    /// Slot names: `Heads::vars[vars]`, slot `i` at offset `i`.
+    vars: Span,
+}
+
+/// Every rule head of one oriented rule list, compiled once for e-matching
+/// into flat buffers: ops (children by index), chain segment lists, and per
+/// head the metavariable names in slot order. Built lazily with the
+/// [`RuleIndex`] over the same list ([`RuleIndex::sat_heads`]), so fast
+/// fleets never pay for it and a saturating engine pays once.
+#[derive(Debug, Clone)]
+pub(crate) struct Heads {
+    ops: Vec<Op>,
+    segs: Vec<u32>,
+    vars: Vec<(VarKind, Sym)>,
+    heads: Vec<Head>,
+    /// Per rule position: its heads, `heads[by_pos[pos]]`.
+    by_pos: Vec<Span>,
+}
+
+impl Heads {
+    /// Compile the heads of `rules` (positions follow the slice). Backward
+    /// orientations of one-way rules get no heads, as in the index.
+    pub(crate) fn compile(rules: &[Oriented]) -> Heads {
+        // Sized from the paper catalog: per rule about 6.6 ops, 2.3
+        // metavariables and one head.
+        let mut h = Heads {
+            ops: Vec::with_capacity(8 * rules.len()),
+            vars: Vec::with_capacity(3 * rules.len()),
+            segs: Vec::with_capacity(2 * rules.len()),
+            heads: Vec::with_capacity(2 * rules.len()),
+            by_pos: Vec::with_capacity(rules.len()),
+        };
+        for o in rules {
+            let first = h.heads.len() as u32;
+            if o.dir == Direction::Forward || o.rule.bidirectional {
+                for (alt, pair) in o.rule.alts.iter().enumerate() {
+                    let (ops, segs, vars) = (h.ops.len(), h.segs.len(), h.vars.len());
+                    let (level, root) = match (pair, o.dir) {
+                        (RewritePair::F(head, _), Direction::Forward)
+                        | (RewritePair::F(_, head), Direction::Backward) => {
+                            (Level::F, h.chain(head, vars))
+                        }
+                        (RewritePair::P(head, _), Direction::Forward)
+                        | (RewritePair::P(_, head), Direction::Backward) => {
+                            (Level::P, h.pred(head, vars))
+                        }
+                        (RewritePair::Q(head, _), Direction::Forward)
+                        | (RewritePair::Q(_, head), Direction::Backward) => {
+                            (Level::Q, h.query(head, vars))
+                        }
+                    };
+                    if h.vars.len() - vars > MAX_SLOTS {
+                        h.ops.truncate(ops);
+                        h.segs.truncate(segs);
+                        h.vars.truncate(vars);
+                        continue;
+                    }
+                    h.heads.push(Head {
+                        alt,
+                        level,
+                        root,
+                        vars: Span {
+                            start: vars as u32,
+                            len: (h.vars.len() - vars) as u32,
+                        },
+                    });
+                }
+            }
+            h.by_pos.push(Span {
+                start: first,
+                len: h.heads.len() as u32 - first,
+            });
+        }
+        h
+    }
+
+    fn push(&mut self, op: Op) -> u32 {
+        self.ops.push(op);
+        (self.ops.len() - 1) as u32
+    }
+
+    /// A metavariable op: the slot of `(kind, name)` among the head's
+    /// variables (from `first`), numbered on first sight. Past
+    /// [`MAX_SLOTS`] the slot saturates; [`Heads::compile`] then drops the
+    /// head.
+    fn var(&mut self, first: usize, kind: VarKind, name: &Sym) -> u32 {
+        let vars = &self.vars[first..];
+        let i = match vars.iter().position(|(k, n)| *k == kind && n == name) {
+            Some(i) => i,
+            None => {
+                let i = vars.len();
+                self.vars.push((kind, name.clone()));
+                i
+            }
+        };
+        self.push(Op::Var(i.min(MAX_SLOTS - 1) as u8))
+    }
+
+    /// Compile a `∘` chain into one contiguous run of `segs`, left to right
+    /// as [`crate::matching::pchain_segments`] flattens it. The run is
+    /// reserved first, since a segment may hold a chain of its own.
+    fn chain(&mut self, f: &PFunc, vars: usize) -> u32 {
+        fn len(f: &PFunc) -> usize {
+            match f {
+                PFunc::Compose(a, b) => len(a) + len(b),
+                _ => 1,
+            }
+        }
+        let start = self.segs.len();
+        let n = len(f);
+        self.segs.resize(start + n, 0);
+        let mut at = start;
+        self.fill_chain(f, vars, &mut at);
+        self.push(Op::Chain(Span {
+            start: start as u32,
+            len: n as u32,
+        }))
+    }
+
+    fn fill_chain(&mut self, f: &PFunc, vars: usize, at: &mut usize) {
+        if let PFunc::Compose(a, b) = f {
+            self.fill_chain(a, vars, at);
+            self.fill_chain(b, vars, at);
+        } else {
+            self.segs[*at] = self.func(f, vars);
+            *at += 1;
+        }
+    }
+
+    fn func(&mut self, f: &PFunc, vars: usize) -> u32 {
+        let tag = pfunc_tag(f);
+        match f {
+            PFunc::Var(v) => self.var(vars, VarKind::Func, v),
+            PFunc::Compose(..) => self.chain(f, vars),
+            PFunc::Prim(n) => self.leaf(tag, Payload::Sym(n.clone())),
+            PFunc::PairWith(a, b)
+            | PFunc::Times(a, b)
+            | PFunc::Nest(a, b)
+            | PFunc::Unnest(a, b) => {
+                let k = [self.func(a, vars), self.func(b, vars)];
+                self.node(tag, &k)
+            }
+            PFunc::ConstF(q) => {
+                let k = [self.query(q, vars)];
+                self.node(tag, &k)
+            }
+            PFunc::CurryF(g, q) => {
+                let k = [self.func(g, vars), self.query(q, vars)];
+                self.node(tag, &k)
+            }
+            PFunc::Cond(p, g, h) => {
+                let k = [self.pred(p, vars), self.func(g, vars), self.func(h, vars)];
+                self.node(tag, &k)
+            }
+            PFunc::Iterate(p, g)
+            | PFunc::Iter(p, g)
+            | PFunc::Join(p, g)
+            | PFunc::BIterate(p, g) => {
+                let k = [self.pred(p, vars), self.func(g, vars)];
+                self.node(tag, &k)
+            }
+            PFunc::Id
+            | PFunc::Pi1
+            | PFunc::Pi2
+            | PFunc::Flat
+            | PFunc::Bagify
+            | PFunc::Dedup
+            | PFunc::BUnion
+            | PFunc::BFlat
+            | PFunc::SetUnion
+            | PFunc::SetIntersect
+            | PFunc::SetDiff => self.leaf(tag, Payload::None),
+        }
+    }
+
+    fn pred(&mut self, p: &PPred, vars: usize) -> u32 {
+        let tag = ppred_tag(p);
+        match p {
+            PPred::Var(v) => self.var(vars, VarKind::Pred, v),
+            PPred::PrimP(n) => self.leaf(tag, Payload::Sym(n.clone())),
+            PPred::ConstP(b) => self.leaf(tag, Payload::Bool(*b)),
+            PPred::Oplus(a, f) => {
+                let k = [self.pred(a, vars), self.func(f, vars)];
+                self.node(tag, &k)
+            }
+            PPred::And(a, b) | PPred::Or(a, b) => {
+                let k = [self.pred(a, vars), self.pred(b, vars)];
+                self.node(tag, &k)
+            }
+            PPred::Not(a) | PPred::Conv(a) => {
+                let k = [self.pred(a, vars)];
+                self.node(tag, &k)
+            }
+            PPred::CurryP(a, q) => {
+                let k = [self.pred(a, vars), self.query(q, vars)];
+                self.node(tag, &k)
+            }
+            PPred::Eq | PPred::Lt | PPred::Leq | PPred::Gt | PPred::Geq | PPred::In => {
+                self.leaf(tag, Payload::None)
+            }
+        }
+    }
+
+    fn query(&mut self, q: &PQuery, vars: usize) -> u32 {
+        let tag = pquery_tag(q);
+        match q {
+            PQuery::Var(v) => self.var(vars, VarKind::Obj, v),
+            PQuery::Lit(v) => self.leaf(tag, Payload::Value(std::sync::Arc::new(v.clone()))),
+            PQuery::Extent(n) => self.leaf(tag, Payload::Sym(n.clone())),
+            PQuery::App(f, a) => {
+                let k = [self.func(f, vars), self.query(a, vars)];
+                self.node(tag, &k)
+            }
+            PQuery::Test(p, a) => {
+                let k = [self.pred(p, vars), self.query(a, vars)];
+                self.node(tag, &k)
+            }
+            PQuery::PairQ(a, b)
+            | PQuery::Union(a, b)
+            | PQuery::Intersect(a, b)
+            | PQuery::Diff(a, b) => {
+                let k = [self.query(a, vars), self.query(b, vars)];
+                self.node(tag, &k)
+            }
+        }
+    }
+
+    fn leaf(&mut self, tag: Option<Tag>, payload: Payload) -> u32 {
+        self.push(Op::Leaf(tag.expect("constructor pattern"), payload))
+    }
+
+    fn node(&mut self, tag: Option<Tag>, kids: &[u32]) -> u32 {
+        let mut k = [0; 3];
+        k[..kids.len()].copy_from_slice(kids);
+        self.push(Op::Node(
+            tag.expect("constructor pattern"),
+            k,
+            kids.len() as u8,
+        ))
+    }
+}
+
+/// One head match: its bindings, and for function rules the unconsumed
+/// chain suffix as a span of the round's remainder arena.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    slots: Slots,
+    rem: Span,
+}
+
+/// One scheduled rule application: rule position, the compiled head that
+/// matched, the matched class, bindings, and (for function rules) the
 /// unconsumed chain suffix.
 struct Match {
     pos: usize,
-    /// Index into the rule's `alts` — the body instantiated must belong to
-    /// the same alternative the head match bound.
-    alt: usize,
+    /// Index into [`Heads::heads`]; its `alt` names the body to
+    /// instantiate — alts of one rule need not share variable sets.
+    head: usize,
     class: ClassId,
-    binds: EBinds,
-    /// Chain segments left over after a prefix match (function level only);
-    /// the instantiated body is re-composed onto them.
-    remainder: Vec<ClassId>,
+    hit: Hit,
 }
 
 /// Per-round decomposition/enumeration limits. Depth bounds recursion
@@ -265,10 +605,32 @@ const CHAIN_DEPTH: usize = 64;
 struct Sat<'s, 'r, 'a> {
     eg: EGraph,
     params: &'s SaturationParams<'r, 'a>,
+    heads: &'r Heads,
     it: &'s mut Interner,
     /// Representative (cheapest) term per raw class id; `None` while a
     /// class has no finite-cost realization yet.
     reps: Vec<Option<ITerm>>,
+    /// Match budget left for the current (class, rule alternative).
+    fuel: usize,
+    // Scratch, cleared and reused: nothing below allocates once grown.
+    /// Canonical classes of the current round.
+    classes: Vec<ClassId>,
+    /// Candidate rule positions of the current class.
+    cand: Vec<usize>,
+    /// The round's scheduled applications.
+    matches: Vec<Match>,
+    /// Match remainders of the round, referenced by [`Hit::rem`].
+    rems: Vec<ClassId>,
+    /// Hit stack: every matcher call pushes its results on top; staged
+    /// matching reads one stage's results and moves the next stage's down.
+    hits: Vec<Hit>,
+    /// Chain cursors (lists of classes whose composition is the chain),
+    /// a stack of spans released when their matcher frame returns.
+    cursors: Vec<ClassId>,
+    /// Segment splits `(segment, rest cursor)`, a stack like `cursors`.
+    splits: Vec<(ClassId, Span)>,
+    /// Tails peeled while enumerating one cursor's splits.
+    tails: Vec<ClassId>,
 }
 
 impl Sat<'_, '_, '_> {
@@ -287,240 +649,284 @@ impl Sat<'_, '_, '_> {
         self.reps = reps;
     }
 
-    /// Collect this round's matches. Deterministic: classes ascending,
-    /// candidates ascending, alternatives and e-nodes in canonical order.
-    fn match_round(&mut self, report: &RewriteReport) -> Vec<Match> {
-        let mut out = Vec::new();
-        let mut cand: Vec<usize> = Vec::new();
-        let mut buf: Vec<usize> = Vec::new();
-        let classes: Vec<ClassId> = self.eg.class_ids().collect();
-        for &c in &classes {
+    /// Collect this round's matches into `self.matches`. Deterministic:
+    /// classes ascending, candidates ascending, alternatives and e-nodes in
+    /// canonical order. Returns false, with the round unfinished, when the
+    /// deadline passes (checked before each class).
+    fn match_round(&mut self, report: &RewriteReport, budget: &Budget) -> bool {
+        self.matches.clear();
+        self.rems.clear();
+        self.classes.clear();
+        self.classes.extend(self.eg.class_ids());
+        for ci in 0..self.classes.len() {
+            if budget.expired() {
+                return false;
+            }
+            let c = self.classes[ci];
             // Walk the discrimination tree against the class itself: every
             // `Sym` edge branches over every same-tagged e-node, so no
             // member's shape is hidden behind a cheaper representative.
-            let level = self.eg.nodes(c).first().map(|n| level_of(n.tag));
-            let Some(level) = level else { continue };
+            let Some(level) = class_level(&self.eg, c) else {
+                continue;
+            };
+            let index = self.params.index;
             match level {
-                Level::F => self
-                    .params
-                    .index
-                    .func_candidates_class(&self.eg, c, &mut buf),
-                Level::P => self
-                    .params
-                    .index
-                    .pred_candidates_class(&self.eg, c, &mut buf),
-                Level::Q => self
-                    .params
-                    .index
-                    .query_candidates_class(&self.eg, c, &mut buf),
+                Level::F => index.func_candidates_class(&self.eg, c, &mut self.cand),
+                Level::P => index.pred_candidates_class(&self.eg, c, &mut self.cand),
+                Level::Q => index.query_candidates_class(&self.eg, c, &mut self.cand),
             }
-            std::mem::swap(&mut cand, &mut buf);
-            for &pos in &cand {
+            for k in 0..self.cand.len() {
+                let pos = self.cand[k];
                 if self.params.active.is_some_and(|m| !m[pos]) {
                     continue;
                 }
-                let o = &self.params.rules[pos];
-                if report.is_quarantined(&o.rule.id) {
+                if report.is_quarantined(&self.params.rules[pos].rule.id) {
                     continue;
                 }
-                if o.dir == Direction::Backward && !o.rule.bidirectional {
-                    continue;
-                }
-                self.ematch_rule(o.rule, o.dir, &level, c, pos, &mut out);
+                self.ematch_rule(pos, level, c);
             }
         }
-        out
+        true
     }
 
-    /// E-match one rule (all alternatives of the class's level) and push
-    /// scheduled applications, capped at `match_cap` per (class, rule).
-    fn ematch_rule(
-        &mut self,
-        rule: &Rule,
-        dir: Direction,
-        level: &Level,
-        c: ClassId,
-        pos: usize,
-        out: &mut Vec<Match>,
-    ) {
+    /// E-match one rule (all alternatives of the class's level) and
+    /// schedule applications, capped at `match_cap` per (class, rule).
+    fn ematch_rule(&mut self, pos: usize, level: Level, c: ClassId) {
+        let heads = self.heads;
         let cap = self.params.match_cap;
         let mut found = 0usize;
-        for (ai, alt) in rule.alts.iter().enumerate() {
+        for hi in heads.by_pos[pos].range() {
+            let head = &heads.heads[hi];
             if found >= cap {
                 break;
             }
-            match (alt, level) {
-                (RewritePair::F(l, r), Level::F) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let psegs = crate::matching::pchain_segments(head);
-                    let mut hits: Vec<(EBinds, Vec<ClassId>)> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_chain(
-                        &psegs,
-                        &[c],
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for (binds, remainder) in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder,
-                        });
+            if head.level != level {
+                continue;
+            }
+            self.fuel = cap - found;
+            match (level, &heads.ops[head.root as usize]) {
+                (Level::F, &Op::Chain(segs)) => {
+                    let cursor = self.push_cursor(c);
+                    self.ematch_chain(segs, cursor, [UNBOUND; MAX_SLOTS], CHAIN_DEPTH, false);
+                    self.cursors.clear();
+                }
+                _ => self.ematch(head.root, c, [UNBOUND; MAX_SLOTS], CHAIN_DEPTH),
+            }
+            found += self.hits.len();
+            for &hit in &self.hits {
+                self.matches.push(Match {
+                    pos,
+                    head: hi,
+                    class: c,
+                    hit,
+                });
+            }
+            self.hits.clear();
+        }
+    }
+
+    fn push_cursor(&mut self, c: ClassId) -> Span {
+        self.cursors.push(c);
+        Span {
+            start: (self.cursors.len() - 1) as u32,
+            len: 1,
+        }
+    }
+
+    /// Push a hit for each match of op `op` against class `c` under
+    /// `binds`. A metavariable binds the class; a chain is matched with
+    /// full consumption (a sub-pattern chain must equal the whole class,
+    /// not a prefix of it), so association differences between pattern and
+    /// class cannot hide a match; anything else backtracks over the class's
+    /// e-nodes, by index — class contents cannot change before apply.
+    fn ematch(&mut self, op: u32, c: ClassId, binds: Slots, depth: usize) {
+        if self.fuel == 0 || depth == 0 {
+            return;
+        }
+        let c = self.eg.find(c);
+        let heads = self.heads;
+        match &heads.ops[op as usize] {
+            &Op::Var(slot) => {
+                if let Some(slots) = bind(binds, slot, c) {
+                    self.push_hit(slots);
+                }
+            }
+            &Op::Chain(segs) => {
+                let mark = self.cursors.len();
+                let cursor = self.push_cursor(c);
+                self.ematch_chain(segs, cursor, binds, depth, true);
+                self.cursors.truncate(mark);
+            }
+            Op::Leaf(tag, payload) => {
+                for i in 0..self.eg.nodes(c).len() {
+                    if self.fuel == 0 {
+                        return;
+                    }
+                    let n = &self.eg.nodes(c)[i];
+                    if n.tag == *tag && n.payload == *payload {
+                        self.fuel -= 1;
+                        self.push_hit(binds);
                     }
                 }
-                (RewritePair::P(l, r), Level::P) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let mut hits: Vec<EBinds> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_pred(
-                        head,
-                        c,
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for binds in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder: Vec::new(),
-                        });
+            }
+            Op::Node(tag, pats, arity) => {
+                let pats = &pats[..*arity as usize];
+                for i in 0..self.eg.nodes(c).len() {
+                    if self.fuel == 0 {
+                        return;
                     }
-                }
-                (RewritePair::Q(l, r), Level::Q) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let mut hits: Vec<EBinds> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_query(
-                        head,
-                        c,
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for binds in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder: Vec::new(),
-                        });
+                    let n = &self.eg.nodes(c)[i];
+                    if n.tag != *tag {
+                        continue;
                     }
+                    let mut kids = [0; 3];
+                    kids[..n.kids.len()].copy_from_slice(&n.kids);
+                    self.ematch_kids(pats, &kids, binds, depth - 1);
                 }
-                _ => {}
             }
         }
+    }
+
+    /// Match `pats[i]` against `kids[i]`, staged: every match of the first
+    /// kid, then the second kid under each of them, and so on.
+    fn ematch_kids(&mut self, pats: &[u32], kids: &[ClassId; 3], binds: Slots, depth: usize) {
+        let base = self.hits.len();
+        self.ematch(pats[0], kids[0], binds, depth);
+        for (k, &pat) in pats.iter().enumerate().skip(1) {
+            let stage = self.hits.len();
+            for i in base..stage {
+                let b = self.hits[i].slots;
+                self.ematch(pat, kids[k], b, depth);
+            }
+            self.sink(base, stage);
+        }
+    }
+
+    /// Move the hits above `from` down to `to`, dropping those between.
+    fn sink(&mut self, to: usize, from: usize) {
+        let n = self.hits.len() - from;
+        self.hits.copy_within(from.., to);
+        self.hits.truncate(to + n);
+    }
+
+    fn push_hit(&mut self, slots: Slots) {
+        self.hits.push(Hit {
+            slots,
+            rem: Span::default(),
+        });
     }
 
     /// Chain-prefix e-matching: match pattern segments against the chain
-    /// structure of a cursor (a list of classes whose composition is the
-    /// chain), decomposing through `∘` e-nodes. Mirrors
+    /// structure of a cursor, decomposing through `∘` e-nodes. Mirrors
     /// [`crate::imatch::imatch_func_prefix`]: all but the last segment
     /// consume exactly one chain segment; a trailing metavariable swallows
     /// the whole rest; a trailing concrete segment consumes one and leaves
-    /// the remainder for re-composition.
-    fn ematch_chain(
-        &mut self,
-        psegs: &[&PFunc],
-        cursor: &[ClassId],
-        binds: &EBinds,
-        out: &mut Vec<(EBinds, Vec<ClassId>)>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
+    /// the remainder for re-composition. With `full`, only matches leaving
+    /// no remainder are kept.
+    fn ematch_chain(&mut self, segs: Span, cursor: Span, binds: Slots, depth: usize, full: bool) {
+        if self.fuel == 0 || depth == 0 {
             return;
         }
-        let [last] = psegs else {
-            let Some(p) = psegs.first() else { return };
+        let heads = self.heads;
+        let (s0, c0) = (self.splits.len(), self.cursors.len());
+        if segs.len != 1 {
+            let Some(&p) = heads.segs[segs.range()].first() else {
+                return;
+            };
             // Non-final segment: consume exactly one chain segment.
-            for (seg, rest) in self.segment_splits(cursor, depth) {
-                if *fuel == 0 {
-                    return;
+            self.segment_splits(cursor, depth);
+            for k in s0..self.splits.len() {
+                if self.fuel == 0 {
+                    break;
                 }
-                if let PFunc::Var(v) = p {
-                    let mut b = binds.clone();
-                    if EBinds::bind(&mut b.funcs, v, self.eg.find(seg)) {
-                        self.ematch_chain(&psegs[1..], &rest, &b, out, fuel, depth - 1);
+                let (seg, rest) = self.splits[k];
+                if let Op::Var(slot) = heads.ops[p as usize] {
+                    if let Some(b) = bind(binds, slot, self.eg.find(seg)) {
+                        self.ematch_chain(segs.tail(), rest, b, depth - 1, full);
                     }
                 } else {
-                    let mut seg_hits: Vec<EBinds> = Vec::new();
-                    self.ematch_segment(p, seg, binds, &mut seg_hits, fuel, depth - 1);
-                    for b in seg_hits {
-                        self.ematch_chain(&psegs[1..], &rest, &b, out, fuel, depth - 1);
+                    let base = self.hits.len();
+                    self.ematch(p, seg, binds, depth - 1);
+                    let stage = self.hits.len();
+                    for i in base..stage {
+                        let b = self.hits[i].slots;
+                        self.ematch_chain(segs.tail(), rest, b, depth - 1, full);
                     }
+                    self.sink(base, stage);
                 }
             }
-            return;
-        };
-        // Final pattern segment.
-        match last {
-            PFunc::Var(v) => {
-                if cursor.is_empty() {
+        } else {
+            // Final pattern segment.
+            let last = heads.segs[segs.start as usize];
+            if let Op::Var(slot) = heads.ops[last as usize] {
+                if cursor.len == 0 {
                     return;
                 }
-                let folded = self.fold_cursor(cursor);
-                let mut b = binds.clone();
-                if EBinds::bind(&mut b.funcs, v, self.eg.find(folded)) {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push((b, Vec::new()));
+                let folded = fold(&mut self.eg, &self.cursors[cursor.range()]);
+                if let Some(b) = bind(binds, slot, self.eg.find(folded)) {
+                    self.fuel = self.fuel.saturating_sub(1);
+                    self.push_hit(b);
                 }
+                return;
             }
-            _ => {
-                for (seg, rest) in self.segment_splits(cursor, depth) {
-                    if *fuel == 0 {
-                        return;
-                    }
-                    let mut seg_hits: Vec<EBinds> = Vec::new();
-                    self.ematch_segment(last, seg, binds, &mut seg_hits, fuel, depth - 1);
-                    for b in seg_hits {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push((b, rest.clone()));
-                    }
+            self.segment_splits(cursor, depth);
+            for k in s0..self.splits.len() {
+                if self.fuel == 0 {
+                    break;
+                }
+                let (seg, rest) = self.splits[k];
+                let base = self.hits.len();
+                self.ematch(last, seg, binds, depth - 1);
+                let n = self.hits.len() - base;
+                self.fuel = self.fuel.saturating_sub(n);
+                if rest.len == 0 || n == 0 {
+                    continue;
+                }
+                if full {
+                    self.hits.truncate(base);
+                    continue;
+                }
+                let rem = Span {
+                    start: self.rems.len() as u32,
+                    len: rest.len,
+                };
+                self.rems.extend_from_slice(&self.cursors[rest.range()]);
+                for h in &mut self.hits[base..] {
+                    h.rem = rem;
                 }
             }
         }
+        self.splits.truncate(s0);
+        self.cursors.truncate(c0);
     }
 
-    /// Enumerate ways to peel one chain segment off the cursor:
-    /// `(segment class, remaining cursor)`. The head class itself counts as
-    /// a segment when it has a non-`∘` e-node; each of its `∘` e-nodes
-    /// splits into head and tail. Deduplicated, deterministic order.
-    fn segment_splits(&self, cursor: &[ClassId], depth: usize) -> Vec<(ClassId, Vec<ClassId>)> {
-        let mut out: Vec<(ClassId, Vec<ClassId>)> = Vec::new();
-        if depth == 0 {
-            return out;
+    /// Push onto `splits` every way to peel one chain segment off the
+    /// cursor: `(segment class, remaining cursor)`, the cursors built on
+    /// `cursors`. The head class itself counts as a segment when it has a
+    /// non-`∘` e-node; each of its `∘` e-nodes splits into head and tail,
+    /// recursively. Deduplicated, deterministic order.
+    fn segment_splits(&mut self, cursor: Span, depth: usize) {
+        if depth == 0 || cursor.len == 0 {
+            return;
         }
-        let Some((&c0, rest)) = cursor.split_first() else {
-            return out;
-        };
+        let first = self.splits.len();
+        self.tails.clear();
+        let c0 = self.cursors[cursor.start as usize];
+        self.splits_from(first, c0, cursor.tail(), depth);
+    }
+
+    /// [`Sat::segment_splits`] below one peeled head `c0`: the rest of the
+    /// cursor is the peeled tails (innermost first) followed by `rest`.
+    fn splits_from(&mut self, first: usize, c0: ClassId, rest: Span, depth: usize) {
         let c0 = self.eg.find(c0);
         if self.eg.nodes(c0).iter().any(|n| n.tag != Tag::FCompose) {
-            out.push((c0, rest.to_vec()));
+            self.emit_split(first, c0, rest);
         }
-        for n in self.eg.nodes(c0) {
+        if depth == 1 {
+            return;
+        }
+        for i in 0..self.eg.nodes(c0).len() {
+            let n = &self.eg.nodes(c0)[i];
             if n.tag != Tag::FCompose {
                 continue;
             }
@@ -531,319 +937,29 @@ impl Sat<'_, '_, '_> {
             if head == c0 {
                 continue;
             }
-            let mut sub = Vec::with_capacity(rest.len() + 2);
-            sub.push(head);
-            sub.push(tail);
-            sub.extend_from_slice(rest);
-            for split in self.segment_splits(&sub, depth - 1) {
-                if !out.contains(&split) {
-                    out.push(split);
-                }
-            }
-        }
-        out
-    }
-
-    /// Fold a cursor back into a single class, right-associated.
-    fn fold_cursor(&mut self, cursor: &[ClassId]) -> ClassId {
-        let mut iter = cursor.iter().rev();
-        let mut acc = *iter.next().expect("fold_cursor: non-empty cursor");
-        for &c in iter {
-            acc = self.eg.add(ENode {
-                tag: Tag::FCompose,
-                payload: Payload::None,
-                kids: vec![c, acc],
-            });
-        }
-        acc
-    }
-
-    /// Match a *non-compose* function pattern against one chain segment
-    /// (a class). Compose patterns recurse back through chain matching so
-    /// nested chains in either the pattern or the class line up.
-    fn ematch_segment(
-        &mut self,
-        pat: &PFunc,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        self.ematch_func(pat, c, binds, out, fuel, depth);
-    }
-
-    /// E-match a function pattern against a class: a metavariable binds the
-    /// class; anything else backtracks over the class's e-nodes. Compose
-    /// patterns go through full-consumption chain matching, so association
-    /// differences between pattern and class cannot hide a match.
-    fn ematch_func(
-        &mut self,
-        pat: &PFunc,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PFunc::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.funcs, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        if matches!(pat, PFunc::Compose(..)) {
-            let psegs = crate::matching::pchain_segments(pat);
-            let mut hits: Vec<(EBinds, Vec<ClassId>)> = Vec::new();
-            self.ematch_chain(&psegs, &[c], binds, &mut hits, fuel, depth);
-            // Full consumption only: a sub-pattern chain must equal the
-            // whole segment, not a prefix of it.
-            out.extend(
-                hits.into_iter()
-                    .filter(|(_, rem)| rem.is_empty())
-                    .map(|(b, _)| b),
-            );
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for node in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            self.ematch_func_node(pat, &node, binds, out, fuel, depth);
+            self.tails.push(tail);
+            self.splits_from(first, head, rest, depth - 1);
+            self.tails.pop();
         }
     }
 
-    fn ematch_func_node(
-        &mut self,
-        pat: &PFunc,
-        n: &ENode,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        match (pat, n.tag) {
-            (PFunc::Id, Tag::FId)
-            | (PFunc::Pi1, Tag::FPi1)
-            | (PFunc::Pi2, Tag::FPi2)
-            | (PFunc::Flat, Tag::FFlat)
-            | (PFunc::Bagify, Tag::FBagify)
-            | (PFunc::Dedup, Tag::FDedup)
-            | (PFunc::BUnion, Tag::FBUnion)
-            | (PFunc::BFlat, Tag::FBFlat)
-            | (PFunc::SetUnion, Tag::FSetUnion)
-            | (PFunc::SetIntersect, Tag::FSetIntersect)
-            | (PFunc::SetDiff, Tag::FSetDiff) => {
-                *fuel = fuel.saturating_sub(1);
-                out.push(binds.clone());
-            }
-            (PFunc::Prim(a), Tag::FPrim) => {
-                if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push(binds.clone());
-                }
-            }
-            (PFunc::PairWith(p1, p2), Tag::FPairWith)
-            | (PFunc::Times(p1, p2), Tag::FTimes)
-            | (PFunc::Nest(p1, p2), Tag::FNest)
-            | (PFunc::Unnest(p1, p2), Tag::FUnnest)
-                if same_ff(pat, n.tag) =>
-            {
-                let mut mid = Vec::new();
-                self.ematch_func(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_func(p2, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::ConstF(pq), Tag::FConstF) => {
-                self.ematch_query(pq, n.kids[0], binds, out, fuel, depth - 1);
-            }
-            (PFunc::CurryF(pf, pq), Tag::FCurryF) => {
-                let mut mid = Vec::new();
-                self.ematch_func(pf, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::Cond(pp, pf, pg), Tag::FCond) => {
-                let mut mid = Vec::new();
-                self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                let mut mid2 = Vec::new();
-                for b in mid {
-                    self.ematch_func(pf, n.kids[1], &b, &mut mid2, fuel, depth - 1);
-                }
-                for b in mid2 {
-                    self.ematch_func(pg, n.kids[2], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::Iterate(pp, pf), Tag::FIterate)
-            | (PFunc::Iter(pp, pf), Tag::FIter)
-            | (PFunc::Join(pp, pf), Tag::FJoin)
-            | (PFunc::BIterate(pp, pf), Tag::FBIterate)
-                if same_pf_iter(pat, n.tag) =>
-            {
-                let mut mid = Vec::new();
-                self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_func(pf, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn ematch_pred(
-        &mut self,
-        pat: &PPred,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PPred::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.preds, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for n in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            match (pat, n.tag) {
-                (PPred::Eq, Tag::PEq)
-                | (PPred::Lt, Tag::PLt)
-                | (PPred::Leq, Tag::PLeq)
-                | (PPred::Gt, Tag::PGt)
-                | (PPred::Geq, Tag::PGeq)
-                | (PPred::In, Tag::PIn) => {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push(binds.clone());
-                }
-                (PPred::PrimP(a), Tag::PPrimP) => {
-                    if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PPred::ConstP(a), Tag::PConstP) => {
-                    if matches!(&n.payload, Payload::Bool(b) if *a == *b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PPred::Oplus(pp, pf), Tag::POplus) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_func(pf, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PPred::And(p1, p2), Tag::PAnd) | (PPred::Or(p1, p2), Tag::POr)
-                    if same_pp2(pat, n.tag) =>
-                {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_pred(p2, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PPred::Not(p), Tag::PNot) | (PPred::Conv(p), Tag::PConv)
-                    if same_pp1(pat, n.tag) =>
-                {
-                    self.ematch_pred(p, n.kids[0], binds, out, fuel, depth - 1);
-                }
-                (PPred::CurryP(pp, pq), Tag::PCurryP) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn ematch_query(
-        &mut self,
-        pat: &PQuery,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PQuery::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.objs, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for n in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            match (pat, n.tag) {
-                (PQuery::Lit(a), Tag::QLit) => {
-                    if matches!(&n.payload, Payload::Value(b) if b.as_ref() == a) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PQuery::Extent(a), Tag::QExtent) => {
-                    if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PQuery::PairQ(p1, p2), Tag::QPairQ)
-                | (PQuery::Union(p1, p2), Tag::QUnion)
-                | (PQuery::Intersect(p1, p2), Tag::QIntersect)
-                | (PQuery::Diff(p1, p2), Tag::QDiff)
-                    if same_qq2(pat, n.tag) =>
-                {
-                    let mut mid = Vec::new();
-                    self.ematch_query(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(p2, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PQuery::App(pf, pq), Tag::QApp) => {
-                    let mut mid = Vec::new();
-                    self.ematch_func(pf, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PQuery::Test(pp, pq), Tag::QTest) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                _ => {}
-            }
+    /// Record split `(seg, tails ++ rest)` unless an equal one is already
+    /// among this enumeration's splits (from `first`).
+    fn emit_split(&mut self, first: usize, seg: ClassId, rest: Span) {
+        let start = self.cursors.len();
+        self.cursors.extend(self.tails.iter().rev());
+        self.cursors.extend_from_within(rest.range());
+        let span = Span {
+            start: start as u32,
+            len: (self.cursors.len() - start) as u32,
+        };
+        let dup = self.splits[first..]
+            .iter()
+            .any(|&(s, r)| s == seg && self.cursors[r.range()] == self.cursors[span.range()]);
+        if dup {
+            self.cursors.truncate(start);
+        } else {
+            self.splits.push((seg, span));
         }
     }
 
@@ -853,15 +969,24 @@ impl Sat<'_, '_, '_> {
     /// or unbound variable — the latter mirrors the fixpoint engine's
     /// contained `RuleFailed`).
     fn apply(&mut self, m: &Match) -> bool {
+        let heads = self.heads;
         let o = &self.params.rules[m.pos];
+        let head = &heads.heads[m.head];
+        let binds = Bound {
+            names: &heads.vars[head.vars.range()],
+            slots: &m.hit.slots,
+        };
         if !o.rule.preconditions.is_empty() {
             // Reify each bound function class's representative; properties
             // are semantic, so any member's verdict stands for the class.
             let mut s = ISubst::new();
-            for (v, &c) in &m.binds.funcs {
+            for ((kind, name), &c) in binds.names.iter().zip(binds.slots) {
+                if *kind != VarKind::Func {
+                    continue;
+                }
                 match self.rep(c) {
                     Some(t) => {
-                        s.funcs.insert(v.clone(), t.clone());
+                        s.funcs.insert(name.clone(), t.clone());
                     }
                     None => return false,
                 }
@@ -873,19 +998,19 @@ impl Sat<'_, '_, '_> {
         // The body must come from the same alternative whose head produced
         // the bindings — alts of one rule need not share variable sets.
         let level = class_level(&self.eg, m.class);
-        match (&o.rule.alts[m.alt], &level) {
+        match (&o.rule.alts[head.alt], &level) {
             (RewritePair::F(l, r), Some(Level::F)) => {
                 let body = match o.dir {
                     Direction::Forward => r,
                     Direction::Backward => l,
                 };
-                let Ok(body_c) = self.einst_func(body, &m.binds) else {
+                let Ok(body_c) = self.einst_func(body, &binds) else {
                     return false;
                 };
-                let result = if m.remainder.is_empty() {
+                let result = if m.hit.rem.len == 0 {
                     body_c
                 } else {
-                    let tail = self.fold_cursor(&m.remainder);
+                    let tail = fold(&mut self.eg, &self.rems[m.hit.rem.range()]);
                     self.eg.add(ENode {
                         tag: Tag::FCompose,
                         payload: Payload::None,
@@ -900,7 +1025,7 @@ impl Sat<'_, '_, '_> {
                     Direction::Forward => r,
                     Direction::Backward => l,
                 };
-                let Ok(body_c) = self.einst_pred(body, &m.binds) else {
+                let Ok(body_c) = self.einst_pred(body, &binds) else {
                     return false;
                 };
                 self.eg.union(m.class, body_c);
@@ -911,7 +1036,7 @@ impl Sat<'_, '_, '_> {
                     Direction::Forward => r,
                     Direction::Backward => l,
                 };
-                let Ok(body_c) = self.einst_query(body, &m.binds) else {
+                let Ok(body_c) = self.einst_query(body, &binds) else {
                     return false;
                 };
                 self.eg.union(m.class, body_c);
@@ -921,7 +1046,7 @@ impl Sat<'_, '_, '_> {
         }
     }
 
-    fn einst_func(&mut self, pat: &PFunc, binds: &EBinds) -> Result<ClassId, ()> {
+    fn einst_func(&mut self, pat: &PFunc, binds: &Bound) -> Result<ClassId, ()> {
         macro_rules! leaf {
             ($tag:expr) => {
                 Ok(self.eg.add(ENode::leaf($tag, Payload::None)))
@@ -938,7 +1063,7 @@ impl Sat<'_, '_, '_> {
             }};
         }
         match pat {
-            PFunc::Var(v) => binds.funcs.get(v).copied().ok_or(()),
+            PFunc::Var(v) => binds.get(VarKind::Func, v),
             PFunc::Id => leaf!(Tag::FId),
             PFunc::Pi1 => leaf!(Tag::FPi1),
             PFunc::Pi2 => leaf!(Tag::FPi2),
@@ -1009,14 +1134,14 @@ impl Sat<'_, '_, '_> {
         }
     }
 
-    fn einst_pred(&mut self, pat: &PPred, binds: &EBinds) -> Result<ClassId, ()> {
+    fn einst_pred(&mut self, pat: &PPred, binds: &Bound) -> Result<ClassId, ()> {
         macro_rules! leaf {
             ($tag:expr) => {
                 Ok(self.eg.add(ENode::leaf($tag, Payload::None)))
             };
         }
         match pat {
-            PPred::Var(v) => binds.preds.get(v).copied().ok_or(()),
+            PPred::Var(v) => binds.get(VarKind::Pred, v),
             PPred::Eq => leaf!(Tag::PEq),
             PPred::Lt => leaf!(Tag::PLt),
             PPred::Leq => leaf!(Tag::PLeq),
@@ -1078,9 +1203,9 @@ impl Sat<'_, '_, '_> {
         }
     }
 
-    fn einst_query(&mut self, pat: &PQuery, binds: &EBinds) -> Result<ClassId, ()> {
+    fn einst_query(&mut self, pat: &PQuery, binds: &Bound) -> Result<ClassId, ()> {
         match pat {
-            PQuery::Var(v) => binds.objs.get(v).copied().ok_or(()),
+            PQuery::Var(v) => binds.get(VarKind::Obj, v),
             PQuery::Lit(v) => Ok(self.eg.add(ENode::leaf(
                 Tag::QLit,
                 Payload::Value(std::sync::Arc::new(v.clone())),
@@ -1140,12 +1265,45 @@ impl Sat<'_, '_, '_> {
     }
 }
 
+/// Fold a cursor back into a single class, right-associated.
+fn fold(eg: &mut EGraph, cursor: &[ClassId]) -> ClassId {
+    let (&last, init) = cursor.split_last().expect("fold: non-empty cursor");
+    init.iter().rev().fold(last, |acc, &c| {
+        eg.add(ENode {
+            tag: Tag::FCompose,
+            payload: Payload::None,
+            kids: vec![c, acc],
+        })
+    })
+}
+
+/// A match's bindings by name, for instantiating the rule body: the slot
+/// names of the matched head beside the slots. A completed match has bound
+/// every slot its head names.
+struct Bound<'m> {
+    names: &'m [(VarKind, Sym)],
+    slots: &'m Slots,
+}
+
+impl Bound<'_> {
+    /// The class bound to `(kind, name)`; an error when the head never
+    /// bound it (mirrors the fixpoint engine's contained `RuleFailed`).
+    fn get(&self, kind: VarKind, name: &Sym) -> Result<ClassId, ()> {
+        self.names
+            .iter()
+            .position(|(k, n)| *k == kind && n == name)
+            .map(|i| self.slots[i])
+            .ok_or(())
+    }
+}
+
 /// Term level of a class (from any e-node's tag — levels never mix within
 /// a class because every rule and every congruence is level-preserving).
 fn class_level(eg: &EGraph, c: ClassId) -> Option<Level> {
     eg.nodes(c).first().map(|n| level_of(n.tag))
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Level {
     F,
     P,
@@ -1160,48 +1318,4 @@ fn level_of(t: Tag) -> Level {
     } else {
         Level::Q
     }
-}
-
-fn same_ff(pat: &PFunc, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PFunc::PairWith(..), Tag::FPairWith)
-            | (PFunc::Times(..), Tag::FTimes)
-            | (PFunc::Nest(..), Tag::FNest)
-            | (PFunc::Unnest(..), Tag::FUnnest)
-    )
-}
-
-fn same_pf_iter(pat: &PFunc, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PFunc::Iterate(..), Tag::FIterate)
-            | (PFunc::Iter(..), Tag::FIter)
-            | (PFunc::Join(..), Tag::FJoin)
-            | (PFunc::BIterate(..), Tag::FBIterate)
-    )
-}
-
-fn same_pp2(pat: &PPred, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PPred::And(..), Tag::PAnd) | (PPred::Or(..), Tag::POr)
-    )
-}
-
-fn same_pp1(pat: &PPred, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PPred::Not(..), Tag::PNot) | (PPred::Conv(..), Tag::PConv)
-    )
-}
-
-fn same_qq2(pat: &PQuery, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PQuery::PairQ(..), Tag::QPairQ)
-            | (PQuery::Union(..), Tag::QUnion)
-            | (PQuery::Intersect(..), Tag::QIntersect)
-            | (PQuery::Diff(..), Tag::QDiff)
-    )
 }

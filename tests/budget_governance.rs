@@ -167,3 +167,33 @@ fn deadline_budget_stops_the_run() {
     assert_eq!(r.report.stop, StopReason::DeadlineExpired);
     assert_eq!(r.report.steps, 0);
 }
+
+#[test]
+fn deadline_bounds_a_saturating_request() {
+    use kola_rewrite::{Engine, EngineConfig};
+    use std::time::{Duration, Instant};
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
+    let q =
+        kola_frontend::parse_any_query("select [p, (select c.age from c in p.child)] from p in P")
+            .expect("request parses");
+    let run = |budget: &Budget| {
+        let mut engine = Engine::new(rules.clone(), &props, EngineConfig::saturating());
+        let t0 = Instant::now();
+        let out = engine.normalize(&q, budget);
+        (out, t0.elapsed())
+    };
+    // Up to 200 steps the request is quick; at 250 its e-graph grows until
+    // one match round alone runs far past 20 ms. The deadline is 20 ms, or
+    // three times the quick prefix when an unoptimized build needs longer,
+    // so that it expires inside that slow round.
+    let (_, prefix) = run(&Budget::with_steps(200));
+    let timeout = Duration::from_millis(20).max(prefix * 3);
+    let (out, took) = run(&Budget::with_steps(250).timeout(timeout));
+    assert_eq!(out.report.stop, StopReason::DeadlineExpired);
+    assert!(
+        took < timeout + Duration::from_secs(1),
+        "a {timeout:?} deadline held the request for {took:?}"
+    );
+}
