@@ -1,6 +1,6 @@
 //! The AQUA abstract syntax: a *variable-based* object algebra.
 //!
-//! AQUA [25] is the paper's §2 case study for why variables make rules hard:
+//! AQUA \[25\] is the paper's §2 case study for why variables make rules hard:
 //! anonymous functions are λ-expressions, so a rule that wants to compose or
 //! decompose them must manipulate open terms — which demands renaming,
 //! substitution and free-variable analysis (the "additional machinery" of

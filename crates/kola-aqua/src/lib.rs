@@ -1,10 +1,10 @@
 #![warn(missing_docs)]
 //! # kola-aqua — the variable-based baseline algebra (AQUA)
 //!
-//! The paper's §2 argues "variables considered harmful" using AQUA [25] as
+//! The paper's §2 argues "variables considered harmful" using AQUA \[25\] as
 //! the case study. This crate is that baseline, built honestly: λ-based
 //! anonymous functions ([`ast`]), an environment-carrying evaluator
-//! ([`eval`]), the full variable machinery — free-variable analysis,
+//! ([`eval`](mod@eval)), the full variable machinery — free-variable analysis,
 //! α-renaming, capture-avoiding substitution ([`vars`]) — and the paper's
 //! transformations T1, T2 and code motion implemented as rules *with head
 //! and body routines* ([`rules`]), instrumented so experiments can count

@@ -1,6 +1,6 @@
 //! Benchmark-only crate; see the benches directory.
 //!
-//! The benches run offline with no external harness: [`bench`] is a minimal
+//! The benches run offline with no external harness: [`bench()`] is a minimal
 //! measured-loop timer (warmup, then the median of several timed batches)
 //! that every `harness = false` bench target shares.
 
@@ -24,7 +24,7 @@ pub fn smoke_mode() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Like [`bench`], but returns the median ns/iter so callers can compute
+/// Like [`bench()`], but returns the median ns/iter so callers can compute
 /// speedups and emit machine-readable reports. Honors [`smoke_mode`].
 pub fn bench_ns<T>(name: &str, mut f: impl FnMut() -> T) -> u128 {
     let (warm_ms, batch_ns) = if smoke_mode() {

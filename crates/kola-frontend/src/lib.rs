@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! # kola-frontend — OQL surface language and translators into KOLA
 //!
-//! The paper's [11]: translators from OQL and AQUA into the combinator
+//! The paper's \[11\]: translators from OQL and AQUA into the combinator
 //! algebra. [`oql`] parses a `select/from/where` subset and lowers it to
 //! AQUA; [`to_kola`] compiles AQUA's λ-terms into variable-free KOLA via
 //! explicit environments; [`size`] measures the §4.2 O(mn) translation-size

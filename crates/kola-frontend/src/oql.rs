@@ -1,7 +1,7 @@
 //! A small OQL-style surface language and its lowering to AQUA.
 //!
-//! The paper implemented translators "from both OQL [9] and AQUA [25]" into
-//! KOLA [11]. This module provides the OQL half: a `select / from / where`
+//! The paper implemented translators "from both OQL \[9\] and AQUA \[25\]" into
+//! KOLA \[11\]. This module provides the OQL half: a `select / from / where`
 //! subset with nesting, path expressions, comparisons and boolean
 //! connectives, lowered to AQUA (and from there to KOLA via
 //! [`crate::to_kola`]).

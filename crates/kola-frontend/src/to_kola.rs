@@ -1,4 +1,4 @@
-//! The AQUA → KOLA combinator translator ([11] in the paper).
+//! The AQUA → KOLA combinator translator (\[11\] in the paper).
 //!
 //! λ-bound variables are compiled away by threading an *explicit
 //! environment*: entering a λ under environment `e` evaluates the body

@@ -15,7 +15,7 @@
 //!   [`TraceRing`] — or, for multi-worker services, a [`ShardedTraceRing`]
 //!   giving each worker its own uncontended ring whose merged drain is
 //!   ordered by request id.
-//! - [`replay`] — re-executes a recorded trace on the boxed reference
+//! - [`replay`](mod@replay) — re-executes a recorded trace on the boxed reference
 //!   engine and compares every step byte-for-byte (fingerprints, stop
 //!   reason, final plan). This turns the fast engine's exactness contract
 //!   into a property checkable against *live* traffic, in the spirit of

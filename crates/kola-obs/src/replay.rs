@@ -165,7 +165,7 @@ fn compare(trace: &RewriteTrace, rewritten: &Rewritten) -> ReplayOutcome {
 /// deterministic (rule- and step-selective), so a derivation recorded
 /// *through* injected failures replays through the same failures.
 ///
-/// Spawns a fresh [`REPLAY_STACK`]-sized thread per call; replaying many
+/// Spawns a fresh `REPLAY_STACK`-sized thread per call; replaying many
 /// traces should go through a [`ReplayWorker`] instead.
 pub fn replay(trace: &RewriteTrace, catalog: &Catalog, props: &PropDb) -> ReplayOutcome {
     std::thread::scope(|scope| {
@@ -179,7 +179,7 @@ pub fn replay(trace: &RewriteTrace, catalog: &Catalog, props: &PropDb) -> Replay
     })
 }
 
-/// A pooled replay lane: one long-lived [`REPLAY_STACK`]-sized thread
+/// A pooled replay lane: one long-lived `REPLAY_STACK`-sized thread
 /// owning its catalog and property database, fed traces over a channel.
 /// Each [`ReplayWorker::replay`] call is a send plus a blocking receive —
 /// same outcome as the free [`replay`] function (both run

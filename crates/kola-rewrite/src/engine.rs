@@ -1,6 +1,6 @@
 //! The rewrite engine: congruence traversal, rule application, tracing.
 //!
-//! One primitive does the work: [`rewrite_once`] applies the first rule (in
+//! One primitive does the work: [`rewrite_once_query`] applies the first rule (in
 //! the given list, in the given orientations) that matches at the
 //! leftmost-outermost position of a query — descending through query nodes,
 //! the functions inside applications, the predicates inside formers, and the
@@ -297,7 +297,7 @@ macro_rules! child {
 
 /// Apply the first matching rule at the leftmost-outermost position of a
 /// function term (descending into subfunctions, predicates and payloads).
-/// Ungoverned convenience wrapper over [`ro_func`] with default bounds.
+/// Ungoverned convenience wrapper over `ro_func` with default bounds.
 pub fn rewrite_once_func(rules: &[Oriented], f: &Func, props: &PropDb) -> Option<Applied<Func>> {
     let faults = FaultPlan::default();
     let mut report = RewriteReport::new();
@@ -483,7 +483,7 @@ pub(crate) fn ro_func(
 }
 
 /// Apply the first matching rule at the leftmost-outermost position of a
-/// predicate term. Ungoverned wrapper over [`ro_pred`] with default bounds.
+/// predicate term. Ungoverned wrapper over `ro_pred` with default bounds.
 pub fn rewrite_once_pred(rules: &[Oriented], p: &Pred, props: &PropDb) -> Option<Applied<Pred>> {
     let faults = FaultPlan::default();
     let mut report = RewriteReport::new();
@@ -576,7 +576,7 @@ pub(crate) fn ro_pred(
 }
 
 /// Apply the first matching rule at the leftmost-outermost position of a
-/// query. Ungoverned wrapper over [`ro_query`] with default bounds.
+/// query. Ungoverned wrapper over `ro_query` with default bounds.
 pub fn rewrite_once_query(rules: &[Oriented], q: &Query, props: &PropDb) -> Option<Applied<Query>> {
     let faults = FaultPlan::default();
     let mut report = RewriteReport::new();

@@ -1,8 +1,7 @@
 //! The performance stack over the rewrite engine: hash-consed terms,
 //! discrimination-tree rule dispatch, normal-subtree skipping, and a
 //! memoized normalization cache — all behind an [`EngineConfig`] so the
-//! boxed engine (and the depth-1 head-symbol index the tree replaced)
-//! remain available as differential-testing oracles.
+//! boxed engine remains available as the differential-testing oracle.
 //!
 //! ## Exactness contract
 //!
@@ -21,11 +20,9 @@
 //!   [`crate::imatch::icompose`] invariant keeps every constructed term
 //!   right-normalized, so no whole-term `normalize()` pass is needed.
 //! * **Indexing** walks the interned node through the discrimination tree
-//!   ([`RuleIndex`]) — or, under [`EngineConfig::head_indexed`], merges the
-//!   head-symbol [`HeadIndex`]'s buckets — returning candidates in
-//!   ascending rule position, so the candidate scan tries the same rules in
-//!   the same order, minus ones whose pattern skeleton already rules them
-//!   out.
+//!   ([`RuleIndex`]), returning candidates in ascending rule position, so
+//!   the candidate scan tries the same rules in the same order, minus ones
+//!   whose pattern skeleton already rules them out.
 //! * **Normal-subtree marking** skips subtrees proven redex-free under the
 //!   *full* rule set. Marks are only committed for fully scanned subtrees
 //!   (no depth clip inside), in steps with no rule failures and no active
@@ -50,7 +47,6 @@
 //! poison request costs one cold start, not permanent bloat.
 
 use crate::budget::{Budget, RewriteError, RewriteReport, StopReason};
-use crate::catalog::HeadIndex;
 use crate::dtree::RuleIndex;
 use crate::engine::{rewrite_fix_with, Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
@@ -65,23 +61,39 @@ use kola::intern::{ITerm, Interner, Payload, Tag};
 use kola::term::Query;
 use std::collections::{HashMap, HashSet};
 
-/// Which layers of the performance stack are active. The default is the
-/// full stack; [`EngineConfig::naive`] delegates to the boxed engine so
-/// differential tests can compare the two.
+/// Which engine [`Engine::normalize_with`] runs. The layers are cumulative
+/// — each mode adds one to the one before — so every mode is a
+/// configuration that actually runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineMode {
+    /// The boxed reference engine: [`Engine::normalize_with`] is
+    /// [`rewrite_fix_with`], and the memo and arena settings are unused.
+    Reference,
+    /// Hash-consed terms with a linear scan of the rule list at each node.
+    Scan,
+    /// Hash-consed terms with discrimination-tree dispatch ([`RuleIndex`]).
+    Indexed,
+    /// Equality saturation: after the ordinary destructive fixpoint run
+    /// (the *seed wave*, dispatched through the tree), apply the catalog
+    /// non-destructively over an e-graph to saturation and return the
+    /// cheapest equivalent plan under the engine's [`CostModel`]
+    /// ([`Engine::set_cost_model`]). Never worse than the fixpoint output
+    /// under the extraction model — the wave is unioned into the root class
+    /// before saturating. A request with injected faults stays on the
+    /// destructive wave: fault semantics are defined step by step against
+    /// that engine.
+    Saturating,
+}
+
+/// How an [`Engine`] runs. The default is the full fixpoint stack
+/// ([`EngineConfig::fast`]); [`EngineConfig::naive`] delegates to the boxed
+/// engine so differential tests can compare the two.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Rewrite over hash-consed terms (prerequisite for the other layers).
-    pub interned: bool,
-    /// Dispatch rules through an index instead of a linear scan.
-    pub indexed: bool,
-    /// Which index: the discrimination tree ([`RuleIndex`], the default) or
-    /// the depth-1 head-symbol [`HeadIndex`] it replaced (kept as a
-    /// differential oracle; see [`EngineConfig::head_indexed`]). Ignored
-    /// when `indexed` is off.
-    pub tree_index: bool,
-    /// Cache clean normalizations for replay.
-    pub memoized: bool,
-    /// Bounded LRU capacity of the normalization memo.
+    /// Which engine runs.
+    pub mode: EngineMode,
+    /// Bounded LRU capacity of the normalization memo, which caches clean
+    /// normalizations for replay; `0` turns the memo off.
     pub memo_capacity: usize,
     /// Arena compaction threshold in live nodes (`0` = unbounded). A
     /// long-lived engine checks this *between* runs: when a finished run
@@ -98,16 +110,6 @@ pub struct EngineConfig {
     /// per step beyond the rewritten term itself. The [`RewriteReport`]
     /// (rule stats, stop reason, failures) is kept either way.
     pub trace: bool,
-    /// Equality-saturation mode: after the ordinary destructive fixpoint
-    /// run (the *seed wave*), apply the catalog non-destructively over an
-    /// e-graph to saturation and return the cheapest equivalent plan under
-    /// the engine's [`CostModel`] ([`Engine::set_cost_model`]). Never worse
-    /// than the fixpoint output under the extraction model — the wave is
-    /// unioned into the root class before saturating. Requires the tree
-    /// index ([`EngineConfig::tree_index`]); falls back to plain fixpoint
-    /// otherwise, and whenever faults are injected (fault semantics are
-    /// defined against the destructive engine).
-    pub saturate: bool,
 }
 
 impl Default for EngineConfig {
@@ -117,75 +119,37 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The boxed reference engine — no interning, no index, no memo.
-    pub fn naive() -> Self {
+    fn unmemoized(mode: EngineMode) -> Self {
         EngineConfig {
-            interned: false,
-            indexed: false,
-            tree_index: false,
-            memoized: false,
+            mode,
             memo_capacity: 0,
             arena_capacity: 0,
             trace: true,
-            saturate: false,
         }
+    }
+
+    /// The boxed reference engine — no interning, no index, no memo.
+    pub fn naive() -> Self {
+        EngineConfig::unmemoized(EngineMode::Reference)
     }
 
     /// Interned terms only (linear rule scan, no memo).
     pub fn interned_only() -> Self {
-        EngineConfig {
-            interned: true,
-            indexed: false,
-            tree_index: false,
-            memoized: false,
-            memo_capacity: 0,
-            arena_capacity: 0,
-            trace: true,
-            saturate: false,
-        }
+        EngineConfig::unmemoized(EngineMode::Scan)
     }
 
     /// Interned terms + discrimination-tree rule index, no memo.
     pub fn indexed() -> Self {
-        EngineConfig {
-            interned: true,
-            indexed: true,
-            tree_index: true,
-            memoized: false,
-            memo_capacity: 0,
-            arena_capacity: 0,
-            trace: true,
-            saturate: false,
-        }
-    }
-
-    /// Interned terms + the depth-1 head-symbol index, no memo — the
-    /// pre-tree dispatch, kept for three-way differential testing
-    /// (tree ≡ head ≡ naive) and benchmark comparison.
-    pub fn head_indexed() -> Self {
-        EngineConfig {
-            interned: true,
-            indexed: true,
-            tree_index: false,
-            memoized: false,
-            memo_capacity: 0,
-            arena_capacity: 0,
-            trace: true,
-            saturate: false,
-        }
+        EngineConfig::unmemoized(EngineMode::Indexed)
     }
 
     /// The full stack: interned + tree-indexed + memoized.
     pub fn fast() -> Self {
         EngineConfig {
-            interned: true,
-            indexed: true,
-            tree_index: true,
-            memoized: true,
+            mode: EngineMode::Indexed,
             memo_capacity: 1024,
             arena_capacity: 1 << 16,
             trace: true,
-            saturate: false,
         }
     }
 
@@ -195,14 +159,8 @@ impl EngineConfig {
     /// and the normalization memo stores fixpoint derivations.
     pub fn saturating() -> Self {
         EngineConfig {
-            interned: true,
-            indexed: true,
-            tree_index: true,
-            memoized: false,
-            memo_capacity: 0,
             arena_capacity: 1 << 16,
-            trace: true,
-            saturate: true,
+            ..EngineConfig::unmemoized(EngineMode::Saturating)
         }
     }
 }
@@ -263,9 +221,6 @@ impl Memo {
     }
 
     fn put(&mut self, key: usize, mut e: MemoEntry, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
         self.tick += 1;
         e.stamp = self.tick;
         if !self.map.contains_key(&key) && self.map.len() >= capacity {
@@ -279,25 +234,6 @@ impl Memo {
             }
         }
         self.map.insert(key, e);
-    }
-}
-
-/// The engine's built dispatch structure: the discrimination tree (the
-/// default) or the head-symbol index kept as its differential oracle. Both
-/// return candidate positions in ascending rule order, so [`Search`] is
-/// agnostic to which one it holds.
-#[derive(Debug)]
-enum BuiltIndex {
-    Head(HeadIndex),
-    Tree(RuleIndex),
-}
-
-impl BuiltIndex {
-    fn contains(&self, rule_id: &str) -> bool {
-        match self {
-            BuiltIndex::Head(ix) => ix.contains(rule_id),
-            BuiltIndex::Tree(ix) => ix.contains(rule_id),
-        }
     }
 }
 
@@ -324,17 +260,6 @@ fn level_of(t: Tag) -> Level {
     }
 }
 
-/// Head key of a term node: for function nodes the chain's first segment
-/// (what the prefix matcher commits on), otherwise the node itself; the
-/// child component is that segment's first child, if any.
-fn term_key(t: &ITerm) -> (Tag, Option<Tag>) {
-    let mut seg = t;
-    while seg.tag() == Tag::FCompose {
-        seg = &seg.kids()[0];
-    }
-    (seg.tag(), seg.kids().first().map(ITerm::tag))
-}
-
 fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
     let mut acc = out;
     for _ in 0..n {
@@ -353,7 +278,7 @@ fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
 struct Search<'r, 'a> {
     rules: &'r [Oriented<'a>],
     props: &'r PropDb,
-    index: Option<&'r BuiltIndex>,
+    index: Option<&'r RuleIndex>,
     /// Per-position activity mask from the current epoch's rule snapshot
     /// (`None` = the full set). Skipping inactive positions in the
     /// ascending-position candidate scan visits exactly the rules, in
@@ -412,21 +337,11 @@ impl Search<'_, '_> {
         let level = level_of(t.tag());
         let mut cand = std::mem::take(&mut self.cand);
         cand.clear();
-        match self.index {
-            Some(BuiltIndex::Head(ix)) => {
-                let (root, child) = term_key(t);
-                match level {
-                    Level::F => ix.func_candidates(root, child, &mut cand),
-                    Level::P => ix.pred_candidates(root, child, &mut cand),
-                    Level::Q => ix.query_candidates(root, child, &mut cand),
-                }
-            }
-            Some(BuiltIndex::Tree(ix)) => match level {
-                Level::F => ix.func_candidates(t, &mut cand),
-                Level::P => ix.pred_candidates(t, &mut cand),
-                Level::Q => ix.query_candidates(t, &mut cand),
-            },
-            None => cand.extend(0..self.rules.len()),
+        match (self.index, &level) {
+            (Some(ix), Level::F) => ix.func_candidates(t, &mut cand),
+            (Some(ix), Level::P) => ix.pred_candidates(t, &mut cand),
+            (Some(ix), Level::Q) => ix.query_candidates(t, &mut cand),
+            (None, _) => cand.extend(0..self.rules.len()),
         }
         let mut found = None;
         for &pos in &cand {
@@ -505,8 +420,8 @@ pub struct Engine<'a> {
     // while the arena's table is still alive.
     memo: Memo,
     normal: HashSet<usize>,
-    index: Option<BuiltIndex>,
-    index_dirty: bool,
+    /// The discrimination tree, built on the first run in a tree mode.
+    index: Option<RuleIndex>,
     /// Current rule-set epoch (see [`Engine::set_epoch`]).
     epoch: u64,
     /// Per-position activity mask for the current epoch; `None` = all.
@@ -533,7 +448,6 @@ impl<'a> Engine<'a> {
             memo: Memo::default(),
             normal: HashSet::new(),
             index: None,
-            index_dirty: false,
             epoch: 0,
             active: None,
             compactions: 0,
@@ -591,8 +505,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Enable or disable per-step [`Trace`] recording for subsequent runs
-    /// (see [`EngineConfig::trace`]). Only the interned engine is affected:
-    /// the `naive` configuration delegates to [`rewrite_fix_with`], which
+    /// (see [`EngineConfig::trace`]). Only the interned modes are affected:
+    /// [`EngineMode::Reference`] delegates to [`rewrite_fix_with`], which
     /// always traces. Flipping this touches no cache — traces are run-local.
     pub fn set_trace(&mut self, on: bool) {
         self.config.trace = on;
@@ -650,10 +564,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Drop-in replacement for [`rewrite_fix_with`] (same redex choice,
-    /// budgets, faults, quarantine, report, and trace), over whichever
-    /// layers [`EngineConfig`] enables.
+    /// budgets, faults, quarantine, report, and trace), in the engine
+    /// [`EngineConfig::mode`] selects.
     pub fn normalize_with(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
-        if !self.config.interned {
+        if self.config.mode == EngineMode::Reference {
             return rewrite_fix_with(&self.rules, q, self.props, budget, faults);
         }
         // Bounded arena growth: compact between runs, when no run-local
@@ -662,36 +576,20 @@ impl<'a> Engine<'a> {
         if self.config.arena_capacity != 0 && self.interner.len() > self.config.arena_capacity {
             self.reset_caches();
         }
-        if self.config.indexed {
-            let want_tree = self.config.tree_index;
-            let rebuild = self.index_dirty
-                || !matches!(
-                    (&self.index, want_tree),
-                    (Some(BuiltIndex::Tree(_)), true) | (Some(BuiltIndex::Head(_)), false)
-                );
-            if rebuild {
-                self.index = Some(if want_tree {
-                    BuiltIndex::Tree(RuleIndex::build(&self.rules))
-                } else {
-                    BuiltIndex::Head(HeadIndex::build(&self.rules))
-                });
-                self.index_dirty = false;
-            } else if let Some(BuiltIndex::Tree(ix)) = &mut self.index {
+        if self.config.mode != EngineMode::Scan {
+            match &mut self.index {
                 // Quarantine is per-run state: un-journal last run's
                 // evictions (O(evicted rules), not an index rebuild).
-                ix.restore();
+                Some(ix) => ix.restore(),
+                None => self.index = Some(RuleIndex::build(&self.rules)),
             }
-        } else {
-            self.index = None;
         }
 
         // Saturation mode: seed wave + e-graph saturation + extraction.
         // Fault plans stay on the destructive path — fault semantics are
-        // defined step-by-step against it — as does a non-tree index.
-        if self.config.saturate && faults.is_empty() {
-            if let Some(r) = self.saturate_run(q, budget, faults) {
-                return r;
-            }
+        // defined step-by-step against it.
+        if self.config.mode == EngineMode::Saturating && faults.is_empty() {
+            return self.saturate_run(q, budget, faults);
         }
         self.fixpoint_run(q, budget, faults)
     }
@@ -718,7 +616,8 @@ impl<'a> Engine<'a> {
             };
         }
 
-        let memo_eligible = self.config.memoized && faults.is_empty() && budget.deadline.is_none();
+        let memo_eligible =
+            self.config.memo_capacity > 0 && faults.is_empty() && budget.deadline.is_none();
         if memo_eligible {
             if let Some(e) = self.memo.get(cur.id(), self.epoch) {
                 if e.steps < budget.max_steps
@@ -776,18 +675,10 @@ impl<'a> Engine<'a> {
             // Quarantine must reach the index, not just the linear scan.
             while pruned < report.quarantined.len() {
                 let id = report.quarantined[pruned].clone();
-                match &mut self.index {
-                    Some(BuiltIndex::Tree(ix)) => {
-                        // Journaled leaf pruning: O(pattern depth) now,
-                        // exact restore at the start of the next run.
-                        ix.remove(&id);
-                    }
-                    Some(BuiltIndex::Head(ix)) => {
-                        ix.remove(&id);
-                        // The head index has no journal: rebuild next run.
-                        self.index_dirty = true;
-                    }
-                    None => {}
+                if let Some(ix) = &mut self.index {
+                    // Journaled leaf pruning: O(pattern depth) now, exact
+                    // restore at the start of the next run.
+                    ix.remove(&id);
                 }
                 pruned += 1;
             }
@@ -892,25 +783,16 @@ impl<'a> Engine<'a> {
     /// Saturation mode: run the destructive engine once (trace forced on so
     /// the full trajectory is captured), seed an e-graph with that wave,
     /// saturate under the remaining budget, and extract the cheapest
-    /// equivalent plan under the engine's cost model. Returns `None` when
-    /// the built index is not the discrimination tree (saturation matches
-    /// through it) — the caller then falls back to plain fixpoint.
-    fn saturate_run(
-        &mut self,
-        q: &Query,
-        budget: &Budget,
-        faults: &FaultPlan,
-    ) -> Option<Rewritten> {
-        if !matches!(self.index, Some(BuiltIndex::Tree(_))) {
-            return None;
-        }
+    /// equivalent plan under the engine's cost model. Expects the tree
+    /// built, as [`Engine::normalize_with`] does before every tree-mode run.
+    fn saturate_run(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
         let trace_was = self.config.trace;
         self.config.trace = true;
         let fix = self.fixpoint_run(q, budget, faults);
         self.config.trace = trace_was;
         if fix.report.stop == StopReason::TermTooLarge && fix.trace.steps.is_empty() {
             // The input itself blew the size budget — nothing to saturate.
-            return Some(fix);
+            return fix;
         }
         let mut trajectory: Vec<Query> = fix.trace.steps.iter().map(|s| s.after.clone()).collect();
         trajectory.push(fix.query.clone());
@@ -926,13 +808,12 @@ impl<'a> Engine<'a> {
             ref mut interner,
             ..
         } = *self;
-        let Some(BuiltIndex::Tree(ix)) = index.as_ref() else {
-            return None;
-        };
         let params = SaturationParams {
             rules,
             props,
-            index: ix,
+            index: index
+                .as_ref()
+                .expect("tree built before every saturating run"),
             active: active.as_deref(),
             match_cap: 24,
         };
@@ -945,11 +826,11 @@ impl<'a> Engine<'a> {
             &mut report,
             interner,
         );
-        Some(Rewritten {
+        Rewritten {
             query: sat.query,
             trace: if trace_was { fix.trace } else { Trace::new() },
             report,
-        })
+        }
     }
 
     /// Total search work so far: node visits plus interner constructions
@@ -982,19 +863,17 @@ impl<'a> Engine<'a> {
             .sum()
     }
 
-    /// True iff the rule index (tree or head-symbol) currently holds any
-    /// entry for `rule_id`. False when indexing is off.
+    /// True iff the rule index currently holds any entry for `rule_id`.
+    /// False in the modes without one and before the first run builds it.
     pub fn index_contains(&self, rule_id: &str) -> bool {
         self.index.as_ref().is_some_and(|ix| ix.contains(rule_id))
     }
 
     /// Shape of the currently built index ([`crate::dtree::IndexStats`]),
-    /// or `None` when indexing is off or no run has built one yet.
+    /// or `None` in the modes without one and before the first run builds
+    /// it.
     pub fn index_stats(&self) -> Option<crate::dtree::IndexStats> {
-        self.index.as_ref().map(|ix| match ix {
-            BuiltIndex::Head(h) => h.describe(),
-            BuiltIndex::Tree(t) => t.describe(),
-        })
+        self.index.as_ref().map(RuleIndex::describe)
     }
 
     /// Lifetime counters for observability (all monotone except the live
@@ -1014,8 +893,8 @@ impl<'a> Engine<'a> {
 
     /// Per-rule consult counts across all runs, as `(rule_id, consults)` in
     /// rule-list order. A consult is an actual application attempt at a
-    /// node — the number the head-symbol index exists to minimize — so this
-    /// is the "rules attempted per head-key" surface for metrics.
+    /// node — the number the rule index exists to minimize — so this is the
+    /// "rules attempted per node" surface for metrics.
     pub fn consult_profile(&self) -> Vec<(String, u64)> {
         self.rules
             .iter()

@@ -55,8 +55,8 @@ std::thread_local! {
 /// Panic, attributing the failure to `rule_id`. Called by both engines
 /// when a [`FaultKind::Panic`] fault triggers. Allocation-free after the
 /// first poison panic on a thread: the message is rebuilt in place in
-/// [`POISON_PAYLOAD`] and the unwind payload is the zero-sized
-/// [`PoisonPayload`] marker.
+/// `POISON_PAYLOAD` and the unwind payload is the zero-sized
+/// `PoisonPayload` marker.
 pub fn poison_panic(rule_id: &str) -> ! {
     POISON_PAYLOAD.with(|buf| {
         let mut buf = buf.borrow_mut();
@@ -103,7 +103,7 @@ impl CaughtPanic {
     /// Classify a payload returned by `std::panic::catch_unwind`. Must run
     /// on the thread that panicked (true at every `try_*` boundary): a
     /// poison payload is a marker whose message lives in the thread-local
-    /// [`POISON_PAYLOAD`] buffer.
+    /// `POISON_PAYLOAD` buffer.
     pub fn from_payload(payload: Box<dyn std::any::Any + Send>) -> Self {
         if payload.downcast_ref::<PoisonPayload>().is_some() {
             return POISON_PAYLOAD.with(|buf| {

@@ -118,18 +118,18 @@ pub fn untangle_with_budget(
     q: &Query,
     budget: &Budget,
 ) -> Untangled {
-    untangle_configured(catalog, props, q, budget, None)
+    untangle_configured(catalog, props, q, budget, EngineConfig::naive())
 }
 
-/// [`untangle_with_budget`] with the fixpoint phases running on the fast
-/// engine when an [`EngineConfig`] is supplied. `None` keeps the boxed
-/// reference engine; both paths are differentially tested to agree.
+/// [`untangle_with_budget`] with the fixpoint phases running on the engine
+/// `engine` selects ([`EngineConfig::naive`] is the boxed reference engine);
+/// the modes are differentially tested to agree.
 pub fn untangle_configured(
     catalog: &Catalog,
     props: &PropDb,
     q: &Query,
     budget: &Budget,
-    engine: Option<EngineConfig>,
+    engine: EngineConfig,
 ) -> Untangled {
     let mut trace = Trace::new();
     let mut report = RewriteReport::new();
@@ -254,7 +254,7 @@ mod tests {
             &p,
             &garage_query_kg1(),
             &Budget::default(),
-            Some(EngineConfig::fast()),
+            EngineConfig::fast(),
         );
         assert_eq!(fast.query, slow.query);
         assert_eq!(fast.query, garage_query_kg2());

@@ -50,7 +50,7 @@ pub use budget::{
     Budget, CycleDetector, QuarantineEntry, QuarantineReport, RewriteError, RewriteReport,
     RuleStats, StopReason,
 };
-pub use catalog::{Catalog, HeadIndex};
+pub use catalog::Catalog;
 pub use dtree::{IndexStats, RuleIndex};
 pub use egraph::{ClassId, EClass, EGraph, ENode};
 pub use engine::{
@@ -58,7 +58,7 @@ pub use engine::{
     Oriented, Rewritten, Step, Trace,
 };
 pub use extract::{CostModel, Extractor, OpWeight, TermSize};
-pub use fast::{Engine, EngineConfig, EngineStats};
+pub use fast::{Engine, EngineConfig, EngineMode, EngineStats};
 pub use fault::{CaughtPanic, FaultKind, FaultPlan, FaultSpec, StepSelector};
 pub use props::{PropDb, PropKind, PropTerm};
 pub use rule::{Direction, Rule, RuleSource};

@@ -248,18 +248,6 @@ pub fn match_func_prefix(pat: &PFunc, t: &Func, s: &mut Subst) -> Option<usize> 
     }
 }
 
-/// Discrimination key of a rule head: the constructor at the pattern's root
-/// plus (when the first child of that constructor is itself concrete) one
-/// level of child constructor. `None` for either component means "no
-/// constraint" at that position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HeadKey {
-    /// Root constructor the head demands.
-    pub root: Tag,
-    /// Constructor the head demands of the root's first child, if concrete.
-    pub child: Option<Tag>,
-}
-
 /// Constructor tag of a function pattern's root (`None` = metavariable).
 /// Shared with the discrimination tree ([`crate::dtree`]), whose edge
 /// alphabet is exactly these tags.
@@ -326,82 +314,6 @@ pub(crate) fn pquery_tag(p: &PQuery) -> Option<Tag> {
         PQuery::Union(..) => Tag::QUnion,
         PQuery::Intersect(..) => Tag::QIntersect,
         PQuery::Diff(..) => Tag::QDiff,
-    })
-}
-
-/// Constructor of a function pattern's first child, in the same child order
-/// the interner uses. `None` when the pattern has no children or the first
-/// child is a metavariable.
-fn pfunc_kid0_tag(p: &PFunc) -> Option<Tag> {
-    match p {
-        PFunc::Compose(a, _)
-        | PFunc::PairWith(a, _)
-        | PFunc::Times(a, _)
-        | PFunc::Nest(a, _)
-        | PFunc::Unnest(a, _)
-        | PFunc::CurryF(a, _) => pfunc_tag(a),
-        PFunc::ConstF(q) => pquery_tag(q),
-        PFunc::Cond(p, _, _)
-        | PFunc::Iterate(p, _)
-        | PFunc::Iter(p, _)
-        | PFunc::Join(p, _)
-        | PFunc::BIterate(p, _) => ppred_tag(p),
-        _ => None,
-    }
-}
-
-fn ppred_kid0_tag(p: &PPred) -> Option<Tag> {
-    match p {
-        PPred::Oplus(a, _)
-        | PPred::And(a, _)
-        | PPred::Or(a, _)
-        | PPred::Not(a)
-        | PPred::Conv(a)
-        | PPred::CurryP(a, _) => ppred_tag(a),
-        _ => None,
-    }
-}
-
-fn pquery_kid0_tag(p: &PQuery) -> Option<Tag> {
-    match p {
-        PQuery::PairQ(a, _)
-        | PQuery::Union(a, _)
-        | PQuery::Intersect(a, _)
-        | PQuery::Diff(a, _) => pquery_tag(a),
-        PQuery::App(f, _) => pfunc_tag(f),
-        PQuery::Test(p, _) => ppred_tag(p),
-        _ => None,
-    }
-}
-
-/// Head key of a function-level rule head. Chains are keyed by their *first
-/// segment* (the prefix matcher only ever inspects that segment before
-/// committing to a window); a metavariable-rooted head returns `None` and
-/// lands in the wildcard bucket.
-pub fn func_head_key(pat: &PFunc) -> Option<HeadKey> {
-    let first = *pchain_segments(pat).first()?;
-    let root = pfunc_tag(first)?;
-    Some(HeadKey {
-        root,
-        child: pfunc_kid0_tag(first),
-    })
-}
-
-/// Head key of a predicate-level rule head (`None` = wildcard).
-pub fn pred_head_key(pat: &PPred) -> Option<HeadKey> {
-    let root = ppred_tag(pat)?;
-    Some(HeadKey {
-        root,
-        child: ppred_kid0_tag(pat),
-    })
-}
-
-/// Head key of a query-level rule head (`None` = wildcard).
-pub fn query_head_key(pat: &PQuery) -> Option<HeadKey> {
-    let root = pquery_tag(pat)?;
-    Some(HeadKey {
-        root,
-        child: pquery_kid0_tag(pat),
     })
 }
 

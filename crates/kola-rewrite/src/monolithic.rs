@@ -1,7 +1,7 @@
 //! A *monolithic* hidden-join rule, for comparison (experiment E13).
 //!
 //! §4.2 discusses expressing the hidden-join optimization "in terms of a
-//! single complex monolithic rule" (the approach of Cluet & Moerkotte [12])
+//! single complex monolithic rule" (the approach of Cluet & Moerkotte \[12\])
 //! and identifies two problems:
 //!
 //! 1. **Complex rules need complex head routines** — because the reference
@@ -176,19 +176,19 @@ pub fn try_monolithic_governed(
     q: &Query,
     budget: &Budget,
 ) -> (Option<Query>, HeadStats, RewriteReport) {
-    try_monolithic_configured(catalog, props, q, budget, None)
+    try_monolithic_configured(catalog, props, q, budget, EngineConfig::naive())
 }
 
 /// [`try_monolithic_governed`] with the body routine's fixpoints running on
-/// the fast engine when an [`EngineConfig`] is supplied. The head routine is
-/// unaffected — its unbounded dive is the pathology under study, and no
-/// amount of indexing in the body can recover the analysis it wastes.
+/// the engine `engine` selects. The head routine is unaffected — its
+/// unbounded dive is the pathology under study, and no amount of indexing
+/// in the body can recover the analysis it wastes.
 pub fn try_monolithic_configured(
     catalog: &Catalog,
     props: &PropDb,
     q: &Query,
     budget: &Budget,
-    engine: Option<EngineConfig>,
+    engine: EngineConfig,
 ) -> (Option<Query>, HeadStats, RewriteReport) {
     let (hit, stats) = recognize_with_budget(q, budget);
     match hit {
@@ -277,7 +277,7 @@ mod tests {
         let budget = Budget::default();
         let (slow, _, slow_rep) = try_monolithic_governed(&c, &p, &q, &budget);
         let (fast, _, fast_rep) =
-            try_monolithic_configured(&c, &p, &q, &budget, Some(EngineConfig::fast()));
+            try_monolithic_configured(&c, &p, &q, &budget, EngineConfig::fast());
         assert_eq!(fast, slow);
         assert!(fast.is_some());
         assert_eq!(fast_rep.steps, slow_rep.steps);

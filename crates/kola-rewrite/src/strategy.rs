@@ -11,8 +11,7 @@ use crate::budget::{
 };
 use crate::catalog::Catalog;
 use crate::engine::{
-    rewrite_bottom_up_governed, rewrite_fix_with, rewrite_once_governed, Oriented, Step, Trace,
-    DEFAULT_FUEL,
+    rewrite_bottom_up_governed, rewrite_once_governed, Oriented, Step, Trace, DEFAULT_FUEL,
 };
 use crate::fast::{Engine, EngineConfig};
 use crate::fault::FaultPlan;
@@ -103,11 +102,10 @@ pub struct Runner<'a> {
     pub budget: Budget,
     /// Injected faults (empty by default).
     pub faults: FaultPlan,
-    /// When set, `Fix` fixpoints run on the fast engine
-    /// ([`crate::fast::Engine`]) with this layer configuration instead of
-    /// the boxed reference engine. `None` (the default) keeps the slow
-    /// path — the two are differentially tested to be interchangeable.
-    pub engine: Option<EngineConfig>,
+    /// The engine `Fix` fixpoints run on ([`crate::fast::Engine`]). The
+    /// default, [`EngineConfig::naive`], is the boxed reference engine; the
+    /// modes are differentially tested to be interchangeable.
+    pub engine: EngineConfig,
 }
 
 impl<'a> Runner<'a> {
@@ -119,7 +117,7 @@ impl<'a> Runner<'a> {
             fuel: DEFAULT_FUEL,
             budget: Budget::default(),
             faults: FaultPlan::default(),
-            engine: None,
+            engine: EngineConfig::naive(),
         }
     }
 
@@ -137,10 +135,10 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Run fixpoints on the fast engine with the given layer configuration
+    /// Run fixpoints on the engine the given configuration selects
     /// (builder style).
     pub fn with_engine(mut self, config: EngineConfig) -> Self {
-        self.engine = Some(config);
+        self.engine = config;
         self
     }
 
@@ -325,14 +323,11 @@ impl<'a> Runner<'a> {
                     max_steps: self.remaining(report),
                     ..self.budget.clone()
                 };
-                let r = match &self.engine {
-                    Some(cfg) => Engine::new(rules, self.props, cfg.clone()).normalize_with(
-                        &q,
-                        &sub,
-                        &self.faults,
-                    ),
-                    None => rewrite_fix_with(&rules, &q, self.props, &sub, &self.faults),
-                };
+                let r = Engine::new(rules, self.props, self.engine.clone()).normalize_with(
+                    &q,
+                    &sub,
+                    &self.faults,
+                );
                 trace.steps.extend(r.trace.steps);
                 report.merge(&r.report);
                 (r.query, Outcome::Success)

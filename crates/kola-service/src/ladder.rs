@@ -1,7 +1,7 @@
 //! The degradation ladder: fast engine → reference engine → passthrough.
 //!
 //! Each worker answers a request by climbing down this ladder. Rung 1 runs
-//! the fast (interned + head-indexed + memoized) engine; rung 2 the boxed
+//! the fast (interned + tree-indexed + memoized) engine; rung 2 the boxed
 //! reference engine — slower, simpler, and sharing no state with rung 1,
 //! so a fault that poisons one cannot poison the other; rung 3 returns the
 //! input query unoptimized. Every rung:
@@ -14,7 +14,7 @@
 //!   fault, never enough to blow the deadline;
 //! - is wrapped in the `try_*` panic boundary of `kola-rewrite`, so a
 //!   poison-rule panic is caught, attributed to its rule, and charged to
-//!   the cross-request [`Breaker`](crate::Breaker).
+//!   the cross-request [`Breaker`].
 //!
 //! A rung *fails* when it panics, when an injected rung fault says so, or
 //! when its report stops with `DeadlineExpired` or `TermTooLarge` — stops
@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 /// and is represented by [`Outcome::Passthrough`] itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
-    /// The interned + head-indexed + memoized engine (`kola_rewrite::fast`).
+    /// The interned + tree-indexed + memoized engine (`kola_rewrite::fast`).
     Fast,
     /// The boxed reference engine (`kola_rewrite::engine`).
     Reference,

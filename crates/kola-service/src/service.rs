@@ -28,7 +28,7 @@
 //!   per request. Arena growth is bounded by the engine's compaction cap,
 //!   and [`Service::peak_arena_nodes`] exposes the high-water mark.
 //! - **Snapshot-swapped rule state.** The served rule set is an immutable
-//!   [`RuleSnapshot`](crate::snapshot::RuleSnapshot) behind an `Arc`;
+//!   [`RuleSnapshot`] behind an `Arc`;
 //!   workers detect breaker trips/resets with one atomic generation load
 //!   and swap epochs — no reader locks, no per-request catalog filtering.
 //! - **Sharded admission.** One bounded queue per worker with

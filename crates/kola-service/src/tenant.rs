@@ -17,7 +17,7 @@
 //!   the chaos harness proves ([`crate::chaos::run_noisy_neighbor`]).
 //!
 //! Workers stay shared: one engine per worker serves every tenant, with
-//! per-tenant epochs disambiguated by [`EpochScope`](crate::snapshot::EpochScope)
+//! per-tenant epochs disambiguated by [`EpochScope`]
 //! so two tenants at the same raw breaker generation can never alias one
 //! memo epoch. The plan cache is shared too, but keys are tenant-salted
 //! and entries tenant-tagged (`cache.rs`), so one tenant's trip

@@ -200,8 +200,7 @@ fn breaker_trip_and_reset_keep_engine_parity_across_index_kinds() {
     // not a rebuild), the quarantine report charges the breaker, the open
     // set becomes the next snapshot's disabled mask (`set_epoch`), and an
     // operator reset readmits the rule. At every phase, the tree-indexed
-    // and head-indexed engines must agree with a naive run over the
-    // equivalent filtered pool.
+    // engine must agree with a naive run over the equivalent filtered pool.
     use kola::term::Query;
     use kola_rewrite::fault::{FaultKind, FaultSpec, StepSelector};
     use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, FaultPlan, Oriented, PropDb};
@@ -224,7 +223,6 @@ fn breaker_trip_and_reset_keep_engine_parity_across_index_kinds() {
 
     let breaker = Breaker::sharded(1, 2, ["9", "2"]);
     let mut tree = Engine::new(rules.clone(), &props, EngineConfig::indexed());
-    let mut head = Engine::new(rules.clone(), &props, EngineConfig::head_indexed());
 
     let same = |label: &str, got: &kola_rewrite::Rewritten, want: &kola_rewrite::Rewritten| {
         assert_eq!(got.query, want.query, "[{label}] normal form");
@@ -244,15 +242,12 @@ fn breaker_trip_and_reset_keep_engine_parity_across_index_kinds() {
     // from the live index without a rebuild.
     let naive = kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &faults);
     let got_tree = tree.normalize_with(&q, &budget, &faults);
-    let got_head = head.normalize_with(&q, &budget, &faults);
     same("trip/tree", &got_tree, &naive);
-    same("trip/head", &got_head, &naive);
     assert_eq!(got_tree.report.quarantined, vec!["9".to_string()]);
     assert!(
         !tree.index_contains("9"),
         "tree still serves the quarantined rule"
     );
-    assert!(!head.index_contains("9"));
 
     // The ladder charges the breaker once per quarantined rule.
     for rule in &got_tree.report.quarantined {
@@ -272,11 +267,9 @@ fn breaker_trip_and_reset_keep_engine_parity_across_index_kinds() {
         .cloned()
         .collect();
     tree.set_epoch(breaker.generation(), &disabled);
-    head.set_epoch(breaker.generation(), &disabled);
     let naive =
         kola_rewrite::rewrite_fix_with(&filtered, &q, &props, &budget, &FaultPlan::default());
     same("open/tree", &tree.normalize(&q, &budget), &naive);
-    same("open/head", &head.normalize(&q, &budget), &naive);
     assert!(
         tree.index_contains("9"),
         "after a clean run the journaled prune must be restored"
@@ -286,10 +279,8 @@ fn breaker_trip_and_reset_keep_engine_parity_across_index_kinds() {
     // an empty mask serves the full pool again, fault-free.
     assert!(breaker.reset("9"));
     tree.set_epoch(breaker.generation(), &breaker.open_rules());
-    head.set_epoch(breaker.generation(), &breaker.open_rules());
     let naive = kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &FaultPlan::default());
     same("reset/tree", &tree.normalize(&q, &budget), &naive);
-    same("reset/head", &head.normalize(&q, &budget), &naive);
     assert!(
         naive
             .report

@@ -48,15 +48,14 @@ fn corpus_query(seed: u64) -> Query {
 fn direct_run(
     catalog: &Catalog,
     props: &PropDb,
-    engine: Option<EngineConfig>,
+    engine: EngineConfig,
     q: Query,
 ) -> (Query, kola_rewrite::RewriteReport) {
     let ids = catalog.forward_ids();
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let mut runner = Runner::new(catalog, props).with_budget(Budget::default());
-    if let Some(cfg) = engine {
-        runner = runner.with_engine(cfg);
-    }
+    let runner = Runner::new(catalog, props)
+        .with_budget(Budget::default())
+        .with_engine(engine);
     let mut trace = Trace::new();
     let (out, _outcome, report) = runner.run_governed(&strategy::fix(&refs), q, &mut trace);
     (out, report)
@@ -73,7 +72,7 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
     for seed in 0..500u64 {
         let q = corpus_query(seed);
         let response = service.call(Request::ast(q.clone()));
-        let (direct_q, direct_report) = direct_run(&catalog, &props, Some(EngineConfig::fast()), q);
+        let (direct_q, direct_report) = direct_run(&catalog, &props, EngineConfig::fast(), q);
         assert_eq!(
             response.outcome,
             Outcome::Optimized { rung: Rung::Fast },
@@ -114,7 +113,7 @@ fn forced_fast_failure_is_byte_identical_to_reference_engine_run() {
     for seed in 0..500u64 {
         let q = corpus_query(seed);
         let response = service.call(Request::ast(q.clone()).with_options(options.clone()));
-        let (direct_q, direct_report) = direct_run(&catalog, &props, None, q);
+        let (direct_q, direct_report) = direct_run(&catalog, &props, EngineConfig::naive(), q);
         assert_eq!(
             response.outcome,
             Outcome::Optimized {

@@ -1,7 +1,7 @@
 //! Types for KOLA terms.
 //!
 //! The paper assumes well-formedness of queries without spelling out a type
-//! system; its Larch specification [10] is typed. We provide a small
+//! system; its Larch specification \[10\] is typed. We provide a small
 //! Hindley–Milner-style type language: it is what lets the verification
 //! harness (`kola-verify`) instantiate rule metavariables *soundly*, and what
 //! lets the rewrite engine check that rules are type-preserving.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, release build, full test suite.
+# Offline CI gate: formatting, lints, rustdoc, release build, full test suite.
 # No network access is assumed anywhere (--offline); the workspace has no
 # external crate dependencies.
 #
@@ -66,6 +66,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Rustdoc gate: an intra-doc link left pointing at a renamed or deleted
+# item (or at a private one) fails here instead of rotting silently.
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo build --release"
 cargo build --workspace --release --offline
