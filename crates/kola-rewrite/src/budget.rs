@@ -237,10 +237,18 @@ impl RewriteReport {
 
     /// Record a successful application of `rule_id`.
     pub fn record_fire(&mut self, rule_id: &str) {
-        self.rule_stats
-            .entry(rule_id.to_string())
-            .or_default()
-            .fired += 1;
+        // Look the entry up first: only a rule's first fire pays for the
+        // owned key.
+        match self.rule_stats.get_mut(rule_id) {
+            Some(stats) => stats.fired += 1,
+            None => {
+                let stats = RuleStats {
+                    fired: 1,
+                    ..RuleStats::default()
+                };
+                self.rule_stats.insert(rule_id.to_string(), stats);
+            }
+        }
     }
 
     /// Record a contained failure of `rule_id` at derivation step

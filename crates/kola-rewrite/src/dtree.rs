@@ -229,6 +229,22 @@ impl DTree {
     }
 }
 
+/// The term stack of a candidate walk ([`RuleIndex::func_candidates`] and
+/// siblings), kept by the caller so that a walk reuses one buffer instead
+/// of allocating its own. Empty between walks.
+#[derive(Debug, Default)]
+pub struct WalkStack(Vec<&'static ITerm>);
+
+/// Reuse an emptied stack's buffer at another borrow's lifetime. Collecting
+/// a mapped `vec::IntoIter` into a vector of the same layout runs in place,
+/// so the buffer is kept, not reallocated.
+fn relifetime<'b>(mut v: Vec<&ITerm>) -> Vec<&'b ITerm> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the stack was cleared"))
+        .collect()
+}
+
 /// Which level's tree an accept entry lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LevelTag {
@@ -378,28 +394,30 @@ impl RuleIndex {
     /// Candidate rule positions for a function node, ascending. The walk
     /// starts at the chain's first segment — what the prefix matcher
     /// commits on — mirroring the pattern side.
-    pub fn func_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
+    pub fn func_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
         let mut seg = t;
         while seg.tag() == Tag::FCompose {
             seg = &seg.kids()[0];
         }
-        self.candidates(&self.func, seg, out);
+        self.candidates(&self.func, seg, out, stack);
     }
 
     /// Candidate rule positions for a predicate node, ascending.
-    pub fn pred_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
-        self.candidates(&self.pred, t, out);
+    pub fn pred_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
+        self.candidates(&self.pred, t, out, stack);
     }
 
     /// Candidate rule positions for a query node, ascending.
-    pub fn query_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
-        self.candidates(&self.query, t, out);
+    pub fn query_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
+        self.candidates(&self.query, t, out, stack);
     }
 
-    fn candidates(&self, tree: &DTree, t: &ITerm, out: &mut Vec<usize>) {
+    fn candidates(&self, tree: &DTree, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
         out.clear();
-        let mut stack = vec![t];
-        tree.walk(0, &mut stack, out);
+        let mut walk = relifetime(std::mem::take(&mut stack.0));
+        walk.push(t);
+        tree.walk(0, &mut walk, out);
+        stack.0 = relifetime(walk);
         out.sort_unstable();
         out.dedup();
     }
@@ -699,6 +717,7 @@ mod tests {
         let tree = RuleIndex::build(&rules);
         let mut it = Interner::new();
         let mut tout = Vec::new();
+        let mut ws = WalkStack::default();
         let check = |src: &str, tout: &[usize], matches: &dyn Fn(&Oriented) -> bool| {
             assert!(tout.windows(2).all(|w| w[0] < w[1]), "{src}: not ascending");
             for (pos, o) in rules.iter().enumerate() {
@@ -722,7 +741,7 @@ mod tests {
         ];
         for src in funcs {
             let term = parse_func(src).unwrap();
-            tree.func_candidates(&it.intern_func(&term), &mut tout);
+            tree.func_candidates(&it.intern_func(&term), &mut tout, &mut ws);
             check(src, &tout, &|o| {
                 o.rule.try_apply_func(&term, o.dir).ok().flatten().is_some()
             });
@@ -731,7 +750,7 @@ mod tests {
         let preds = ["Kp(T) & Kp(T)", "~~lt", "inv(gt)", "eq @ (pi2, pi1)"];
         for src in preds {
             let term = parse_pred(src).unwrap();
-            tree.pred_candidates(&it.intern_pred(&term), &mut tout);
+            tree.pred_candidates(&it.intern_pred(&term), &mut tout, &mut ws);
             check(src, &tout, &|o| {
                 o.rule.try_apply_pred(&term, o.dir).ok().flatten().is_some()
             });
@@ -740,7 +759,7 @@ mod tests {
         let queries = ["P union P", "id ! P", "{} intersect P"];
         for src in queries {
             let term = parse_query(src).unwrap();
-            tree.query_candidates(&it.intern_query(&term), &mut tout);
+            tree.query_candidates(&it.intern_query(&term), &mut tout, &mut ws);
             check(src, &tout, &|o| {
                 o.rule
                     .try_apply_query(&term, o.dir)
@@ -776,7 +795,7 @@ mod tests {
             .count();
         let t = it.intern_func(&parse_func("iterate(Kp(F), age) . flat").unwrap());
         let mut tout = Vec::new();
-        tree.func_candidates(&t, &mut tout);
+        tree.func_candidates(&t, &mut tout, &mut WalkStack::default());
         assert!(
             tout.len() < iterate_headed,
             "tree ({}) should discriminate deeper than the head symbol ({iterate_headed})",
@@ -801,7 +820,7 @@ mod tests {
             let mut it = Interner::new();
             let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
             let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out);
+            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
             out
         };
         assert!(ix.contains("9"));
@@ -814,7 +833,7 @@ mod tests {
             let mut it = Interner::new();
             let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
             let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out);
+            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
             let pos9 = rules.iter().position(|o| o.rule.id == "9").unwrap();
             assert!(!out.contains(&pos9), "removed rule still a candidate");
         }
@@ -824,7 +843,7 @@ mod tests {
         let mut it = Interner::new();
         let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
         let mut out = Vec::new();
-        ix.func_candidates(&t, &mut out);
+        ix.func_candidates(&t, &mut out, &mut WalkStack::default());
         assert_eq!(out, baseline, "restore must reproduce the exact order");
     }
 

@@ -170,7 +170,7 @@ impl Extractor {
             let [a, b]: [ITerm; 2] = kids.try_into().expect("compose has two kids");
             icompose(it, a, b)
         } else {
-            it.mk(node.tag, node.payload.clone(), kids)
+            it.mk(node.tag, node.payload.view(), &kids)
         };
         memo.insert(c, t.clone());
         Some(t)

@@ -17,27 +17,34 @@
 //! `∘` node is ever built here, and it re-associates on the fly, so any term
 //! assembled from right-normalized parts is right-normalized. Differential
 //! parity with the boxed engine (which this module is tested against on
-//! thousands of fuzzed terms) depends on this invariant.
+//! thousands of fuzzed terms) depends on this invariant, and so does the
+//! chain-prefix matcher's cost: it walks a chain in place and binds a
+//! trailing `$var` to the suffix node itself, never rebuilding a chain.
+//!
+//! ## Allocation
+//!
+//! A rule consult allocates only the nodes instantiation constructs: the
+//! bindings and the head's segments live in an [`IScratch`] the caller
+//! keeps, and [`Interner::mk`] finds existing nodes by borrowed kids.
 
 use crate::budget::RewriteError;
 use crate::props::{PropDb, PropTerm};
 use crate::rule::{Direction, Precondition, RewritePair, Rule};
 use crate::subst::UnboundVar;
-use kola::intern::{ITerm, Interner, Payload, Tag};
+use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
 use kola::value::Sym;
-use std::collections::BTreeMap;
 
 /// Metavariable bindings over interned terms (the [`crate::subst::Subst`]
-/// analogue). Consistency checks are pointer comparisons.
+/// analogue). Consistency checks are pointer comparisons. Each kind is a
+/// small association list: a rule head binds a handful of variables, so a
+/// linear scan beats a map, and a cleared substitution keeps its buffers
+/// for the next match.
 #[derive(Debug, Clone, Default)]
 pub struct ISubst {
-    /// Function variable bindings (`$f`).
-    pub funcs: BTreeMap<Sym, ITerm>,
-    /// Predicate variable bindings (`%p`).
-    pub preds: BTreeMap<Sym, ITerm>,
-    /// Object variable bindings (`^x`).
-    pub objs: BTreeMap<Sym, ITerm>,
+    funcs: Vec<(Sym, ITerm)>,
+    preds: Vec<(Sym, ITerm)>,
+    objs: Vec<(Sym, ITerm)>,
 }
 
 impl ISubst {
@@ -46,64 +53,104 @@ impl ISubst {
         Self::default()
     }
 
-    fn bind(map: &mut BTreeMap<Sym, ITerm>, v: &Sym, t: &ITerm) -> bool {
-        match map.get(v) {
+    /// Forget every binding, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.funcs.clear();
+        self.preds.clear();
+        self.objs.clear();
+    }
+
+    /// The function bound to `$v`, if any.
+    pub fn func(&self, v: &Sym) -> Option<&ITerm> {
+        ISubst::get(&self.funcs, v)
+    }
+
+    /// Bind `$v` to `t`; false iff `$v` is already bound to another term.
+    pub fn bind_func(&mut self, v: &Sym, t: &ITerm) -> bool {
+        ISubst::bind(&mut self.funcs, v, t)
+    }
+
+    fn get<'s>(list: &'s [(Sym, ITerm)], v: &Sym) -> Option<&'s ITerm> {
+        list.iter().find(|(k, _)| k == v).map(|(_, t)| t)
+    }
+
+    fn bind(list: &mut Vec<(Sym, ITerm)>, v: &Sym, t: &ITerm) -> bool {
+        match ISubst::get(list, v) {
             Some(existing) => existing.ptr_eq(t),
             None => {
-                map.insert(v.clone(), t.clone());
+                list.push((v.clone(), t.clone()));
                 true
             }
         }
     }
 }
 
-/// Flatten an interned composition chain into its segments, left to right
-/// (the [`crate::matching::chain_segments`] analogue; iterative).
-pub fn ichain_segments(t: &ITerm) -> Vec<ITerm> {
-    let mut out = Vec::new();
-    let mut work = vec![t.clone()];
-    while let Some(f) = work.pop() {
-        if f.tag() == Tag::FCompose {
-            let kids = f.kids();
-            work.push(kids[1].clone());
-            work.push(kids[0].clone());
-        } else {
-            out.push(f);
-        }
+/// Reusable buffers for [`itry_apply_func`] and its siblings, owned by
+/// the caller so that a rule consult allocates nothing of its own.
+#[derive(Debug, Default)]
+pub struct IScratch<'p> {
+    /// Bindings of the last successful match (read by precondition
+    /// checks). Cleared before every alternative is tried.
+    pub subst: ISubst,
+    /// The current head's `∘`-segments.
+    psegs: Vec<&'p PFunc>,
+}
+
+/// Split a right-normalized chain into its first segment and the suffix
+/// chain after it (`None` when the chain is a single segment).
+fn chain_split(t: &ITerm) -> (&ITerm, Option<&ITerm>) {
+    if t.tag() == Tag::FCompose {
+        let k = t.kids();
+        debug_assert!(k[0].tag() != Tag::FCompose, "chain not right-normalized");
+        (&k[0], Some(&k[1]))
+    } else {
+        (t, None)
     }
-    out
+}
+
+/// Push a pattern's `∘`-segments onto `out`, left to right (the
+/// [`crate::matching::pchain_segments`] analogue). Iterates down the
+/// right spine; only a left-nested pattern composition recurses, and rule
+/// heads are small.
+fn push_psegs<'p>(mut p: &'p PFunc, out: &mut Vec<&'p PFunc>) {
+    while let PFunc::Compose(a, b) = p {
+        push_psegs(a, out);
+        p = b;
+    }
+    out.push(p);
 }
 
 /// Smart `∘` constructor: builds `a ∘ b` right-normalized. If `a` is itself
 /// a chain, its segments are re-associated onto `b`, so the result never has
-/// a `∘` as a left child (given `a` and `b` internally normalized).
+/// a `∘` as a left child (given `a` and `b` internally normalized). Only
+/// that case allocates, for the segment stack.
 pub fn icompose(it: &mut Interner, a: ITerm, b: ITerm) -> ITerm {
     if a.tag() != Tag::FCompose {
-        return it.mk(Tag::FCompose, Payload::None, vec![a, b]);
+        return it.mk(Tag::FCompose, PayloadRef::None, &[a, b]);
+    }
+    let mut segs = Vec::new();
+    let mut work = vec![&a];
+    while let Some(f) = work.pop() {
+        if f.tag() == Tag::FCompose {
+            let kids = f.kids();
+            work.push(&kids[1]);
+            work.push(&kids[0]);
+        } else {
+            segs.push(f);
+        }
     }
     let mut acc = b;
-    for seg in ichain_segments(&a).into_iter().rev() {
-        acc = it.mk(Tag::FCompose, Payload::None, vec![seg, acc]);
+    for seg in segs.into_iter().rev() {
+        acc = it.mk(Tag::FCompose, PayloadRef::None, &[seg.clone(), acc]);
     }
     acc
-}
-
-/// Rebuild a right-associated chain from owned segments; empty chain is
-/// `id` (the [`crate::matching::compose_chain`] analogue).
-pub fn icompose_chain(it: &mut Interner, mut segs: Vec<ITerm>) -> ITerm {
-    let Some(last) = segs.pop() else {
-        return it.mk(Tag::FId, Payload::None, vec![]);
-    };
-    segs.into_iter()
-        .rev()
-        .fold(last, |acc, f| icompose(it, f, acc))
 }
 
 /// Match a function pattern against an interned function exactly (the
 /// [`crate::matching::match_func`] analogue).
 pub fn imatch_func(pat: &PFunc, t: &ITerm, s: &mut ISubst) -> bool {
     if let PFunc::Var(v) = pat {
-        return ISubst::bind(&mut s.funcs, v, t);
+        return s.bind_func(v, t);
     }
     let k = t.kids();
     match (pat, t.tag()) {
@@ -232,48 +279,32 @@ pub fn imatch_query(pat: &PQuery, t: &ITerm, s: &mut ISubst) -> bool {
     }
 }
 
-/// Match a function pattern against a *prefix* of the interned term's
-/// composition chain (the [`crate::matching::match_func_prefix`] analogue).
-/// Returns the number of term segments consumed.
-pub fn imatch_func_prefix(
-    pat: &PFunc,
-    tsegs: &[ITerm],
-    s: &mut ISubst,
-    it: &mut Interner,
-) -> Option<usize> {
-    let psegs = crate::matching::pchain_segments(pat);
-    let m = psegs.len();
-    let n = tsegs.len();
-    if m == 0 || n == 0 || m - 1 > n {
-        return None;
-    }
-    for (p, t) in psegs[..m - 1].iter().zip(tsegs) {
-        if !imatch_func(p, t, s) {
+/// Match a function pattern, given as its `∘`-segments, against a
+/// *prefix* of the interned chain `t` (the
+/// [`crate::matching::match_func_prefix`] analogue). `t` must be
+/// right-normalized, as every term the fast engine builds is (see the
+/// module docs): its suffix chains are then nodes of `t` itself, so
+/// the chain is walked in place and a trailing `$var` binds the remaining
+/// suffix node as it is. Returns the unconsumed suffix (`None` when the
+/// whole chain was consumed), or `None` on no match.
+pub fn imatch_func_prefix(psegs: &[&PFunc], t: &ITerm, s: &mut ISubst) -> Option<Option<ITerm>> {
+    let (last, init) = psegs.split_last()?;
+    let mut cur = t;
+    // All but the last pattern segment match one term segment each, and
+    // the last needs at least one more.
+    for p in init {
+        let (seg, rest) = chain_split(cur);
+        if !imatch_func(p, seg, s) {
             return None;
         }
+        cur = rest?;
     }
-    let last = psegs[m - 1];
     match last {
-        PFunc::Var(v) => {
-            if n < m {
-                return None;
-            }
-            let rest = icompose_chain(it, tsegs[m - 1..].to_vec());
-            if ISubst::bind(&mut s.funcs, v, &rest) {
-                Some(n)
-            } else {
-                None
-            }
-        }
+        // Absorb the remainder.
+        PFunc::Var(v) => s.bind_func(v, cur).then_some(None),
         _ => {
-            if n < m {
-                return None;
-            }
-            if imatch_func(last, &tsegs[m - 1], s) {
-                Some(m)
-            } else {
-                None
-            }
+            let (seg, rest) = chain_split(cur);
+            imatch_func(last, seg, s).then(|| rest.cloned())
         }
     }
 }
@@ -284,76 +315,72 @@ pub fn imatch_func_prefix(
 pub fn iinstantiate_func(pat: &PFunc, s: &ISubst, it: &mut Interner) -> Result<ITerm, UnboundVar> {
     macro_rules! leaf {
         ($tag:expr) => {
-            it.mk($tag, Payload::None, vec![])
+            it.mk($tag, PayloadRef::None, &[])
         };
     }
     Ok(match pat {
-        PFunc::Var(v) => s
-            .funcs
-            .get(v)
-            .cloned()
-            .ok_or_else(|| UnboundVar(v.clone()))?,
+        PFunc::Var(v) => s.func(v).cloned().ok_or_else(|| UnboundVar(v.clone()))?,
         PFunc::Id => leaf!(Tag::FId),
         PFunc::Pi1 => leaf!(Tag::FPi1),
         PFunc::Pi2 => leaf!(Tag::FPi2),
-        PFunc::Prim(n) => it.mk(Tag::FPrim, Payload::Sym(n.clone()), vec![]),
+        PFunc::Prim(n) => it.mk(Tag::FPrim, PayloadRef::Sym(n), &[]),
         PFunc::Compose(a, b) => {
             let ia = iinstantiate_func(a, s, it)?;
             let ib = iinstantiate_func(b, s, it)?;
             icompose(it, ia, ib)
         }
         PFunc::PairWith(a, b) => {
-            let kids = vec![iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
-            it.mk(Tag::FPairWith, Payload::None, kids)
+            let kids = [iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
+            it.mk(Tag::FPairWith, PayloadRef::None, &kids)
         }
         PFunc::Times(a, b) => {
-            let kids = vec![iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
-            it.mk(Tag::FTimes, Payload::None, kids)
+            let kids = [iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
+            it.mk(Tag::FTimes, PayloadRef::None, &kids)
         }
         PFunc::ConstF(q) => {
-            let kids = vec![iinstantiate_query(q, s, it)?];
-            it.mk(Tag::FConstF, Payload::None, kids)
+            let kids = [iinstantiate_query(q, s, it)?];
+            it.mk(Tag::FConstF, PayloadRef::None, &kids)
         }
         PFunc::CurryF(f, q) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::FCurryF, Payload::None, kids)
+            let kids = [iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
+            it.mk(Tag::FCurryF, PayloadRef::None, &kids)
         }
         PFunc::Cond(p, f, g) => {
-            let kids = vec![
+            let kids = [
                 iinstantiate_pred(p, s, it)?,
                 iinstantiate_func(f, s, it)?,
                 iinstantiate_func(g, s, it)?,
             ];
-            it.mk(Tag::FCond, Payload::None, kids)
+            it.mk(Tag::FCond, PayloadRef::None, &kids)
         }
         PFunc::Flat => leaf!(Tag::FFlat),
         PFunc::Iterate(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FIterate, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
+            it.mk(Tag::FIterate, PayloadRef::None, &kids)
         }
         PFunc::Iter(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FIter, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
+            it.mk(Tag::FIter, PayloadRef::None, &kids)
         }
         PFunc::Join(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FJoin, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
+            it.mk(Tag::FJoin, PayloadRef::None, &kids)
         }
         PFunc::Nest(f, g) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
-            it.mk(Tag::FNest, Payload::None, kids)
+            let kids = [iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
+            it.mk(Tag::FNest, PayloadRef::None, &kids)
         }
         PFunc::Unnest(f, g) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
-            it.mk(Tag::FUnnest, Payload::None, kids)
+            let kids = [iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
+            it.mk(Tag::FUnnest, PayloadRef::None, &kids)
         }
         PFunc::Bagify => leaf!(Tag::FBagify),
         PFunc::Dedup => leaf!(Tag::FDedup),
         PFunc::BUnion => leaf!(Tag::FBUnion),
         PFunc::BFlat => leaf!(Tag::FBFlat),
         PFunc::BIterate(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FBIterate, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
+            it.mk(Tag::FBIterate, PayloadRef::None, &kids)
         }
         PFunc::SetUnion => leaf!(Tag::FSetUnion),
         PFunc::SetIntersect => leaf!(Tag::FSetIntersect),
@@ -365,13 +392,11 @@ pub fn iinstantiate_func(pat: &PFunc, s: &ISubst, it: &mut Interner) -> Result<I
 pub fn iinstantiate_pred(pat: &PPred, s: &ISubst, it: &mut Interner) -> Result<ITerm, UnboundVar> {
     macro_rules! leaf {
         ($tag:expr) => {
-            it.mk($tag, Payload::None, vec![])
+            it.mk($tag, PayloadRef::None, &[])
         };
     }
     Ok(match pat {
-        PPred::Var(v) => s
-            .preds
-            .get(v)
+        PPred::Var(v) => ISubst::get(&s.preds, v)
             .cloned()
             .ok_or_else(|| UnboundVar(v.clone()))?,
         PPred::Eq => leaf!(Tag::PEq),
@@ -380,31 +405,31 @@ pub fn iinstantiate_pred(pat: &PPred, s: &ISubst, it: &mut Interner) -> Result<I
         PPred::Gt => leaf!(Tag::PGt),
         PPred::Geq => leaf!(Tag::PGeq),
         PPred::In => leaf!(Tag::PIn),
-        PPred::PrimP(n) => it.mk(Tag::PPrimP, Payload::Sym(n.clone()), vec![]),
+        PPred::PrimP(n) => it.mk(Tag::PPrimP, PayloadRef::Sym(n), &[]),
         PPred::Oplus(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::POplus, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
+            it.mk(Tag::POplus, PayloadRef::None, &kids)
         }
         PPred::And(a, b) => {
-            let kids = vec![iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
-            it.mk(Tag::PAnd, Payload::None, kids)
+            let kids = [iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
+            it.mk(Tag::PAnd, PayloadRef::None, &kids)
         }
         PPred::Or(a, b) => {
-            let kids = vec![iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
-            it.mk(Tag::POr, Payload::None, kids)
+            let kids = [iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
+            it.mk(Tag::POr, PayloadRef::None, &kids)
         }
         PPred::Not(p) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?];
-            it.mk(Tag::PNot, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?];
+            it.mk(Tag::PNot, PayloadRef::None, &kids)
         }
         PPred::Conv(p) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?];
-            it.mk(Tag::PConv, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?];
+            it.mk(Tag::PConv, PayloadRef::None, &kids)
         }
-        PPred::ConstP(b) => it.mk(Tag::PConstP, Payload::Bool(*b), vec![]),
+        PPred::ConstP(b) => it.mk(Tag::PConstP, PayloadRef::Bool(*b), &[]),
         PPred::CurryP(p, q) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::PCurryP, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
+            it.mk(Tag::PCurryP, PayloadRef::None, &kids)
         }
     })
 }
@@ -416,40 +441,34 @@ pub fn iinstantiate_query(
     it: &mut Interner,
 ) -> Result<ITerm, UnboundVar> {
     Ok(match pat {
-        PQuery::Var(v) => s
-            .objs
-            .get(v)
+        PQuery::Var(v) => ISubst::get(&s.objs, v)
             .cloned()
             .ok_or_else(|| UnboundVar(v.clone()))?,
-        PQuery::Lit(v) => it.mk(
-            Tag::QLit,
-            Payload::Value(std::sync::Arc::new(v.clone())),
-            vec![],
-        ),
-        PQuery::Extent(n) => it.mk(Tag::QExtent, Payload::Sym(n.clone()), vec![]),
+        PQuery::Lit(v) => it.mk(Tag::QLit, PayloadRef::Value(v), &[]),
+        PQuery::Extent(n) => it.mk(Tag::QExtent, PayloadRef::Sym(n), &[]),
         PQuery::PairQ(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QPairQ, Payload::None, kids)
+            let kids = [iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
+            it.mk(Tag::QPairQ, PayloadRef::None, &kids)
         }
         PQuery::App(f, q) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::QApp, Payload::None, kids)
+            let kids = [iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
+            it.mk(Tag::QApp, PayloadRef::None, &kids)
         }
         PQuery::Test(p, q) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::QTest, Payload::None, kids)
+            let kids = [iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
+            it.mk(Tag::QTest, PayloadRef::None, &kids)
         }
         PQuery::Union(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QUnion, Payload::None, kids)
+            let kids = [iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
+            it.mk(Tag::QUnion, PayloadRef::None, &kids)
         }
         PQuery::Intersect(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QIntersect, Payload::None, kids)
+            let kids = [iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
+            it.mk(Tag::QIntersect, PayloadRef::None, &kids)
         }
         PQuery::Diff(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QDiff, Payload::None, kids)
+            let kids = [iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
+            it.mk(Tag::QDiff, PayloadRef::None, &kids)
         }
     })
 }
@@ -459,8 +478,7 @@ pub fn iinstantiate_query(
 pub fn ipreconditions_hold(pre: &[Precondition], s: &ISubst, props: &PropDb) -> bool {
     pre.iter().all(|p| match &p.subject {
         PropTerm::FuncVar(name) => s
-            .funcs
-            .get(name)
+            .func(name)
             .map(|f| props.holds(p.prop, &f.to_func()))
             .unwrap_or(false),
     })
@@ -474,44 +492,49 @@ fn rule_failed(rule: &Rule, e: UnboundVar) -> RewriteError {
 }
 
 /// Try the rule at the root of an interned function term (the
-/// [`Rule::try_apply_func`] analogue, chain-prefix aware).
-pub fn itry_apply_func(
-    rule: &Rule,
+/// [`Rule::try_apply_func`] analogue, chain-prefix aware; `t` must be
+/// right-normalized). On a match the bindings are left in
+/// `scratch.subst` for the caller's precondition check.
+pub fn itry_apply_func<'p>(
+    rule: &'p Rule,
     t: &ITerm,
     dir: Direction,
     it: &mut Interner,
-) -> Result<Option<(ITerm, ISubst)>, RewriteError> {
+    scratch: &mut IScratch<'p>,
+) -> Result<Option<ITerm>, RewriteError> {
     if dir == Direction::Backward && !rule.bidirectional {
         return Ok(None);
     }
-    let tsegs = ichain_segments(t);
-    let n = tsegs.len();
     for alt in &rule.alts {
         let RewritePair::F(l, r) = alt else { continue };
         let (head, body) = match dir {
             Direction::Forward => (l, r),
             Direction::Backward => (r, l),
         };
-        let mut s = ISubst::new();
-        if let Some(consumed) = imatch_func_prefix(head, &tsegs, &mut s, it) {
-            let rewritten = iinstantiate_func(body, &s, it).map_err(|e| rule_failed(rule, e))?;
-            if consumed == n {
-                return Ok(Some((rewritten, s)));
-            }
-            let tail = icompose_chain(it, tsegs[consumed..].to_vec());
-            return Ok(Some((icompose(it, rewritten, tail), s)));
+        scratch.subst.clear();
+        scratch.psegs.clear();
+        push_psegs(head, &mut scratch.psegs);
+        if let Some(tail) = imatch_func_prefix(&scratch.psegs, t, &mut scratch.subst) {
+            let rewritten =
+                iinstantiate_func(body, &scratch.subst, it).map_err(|e| rule_failed(rule, e))?;
+            return Ok(Some(match tail {
+                None => rewritten,
+                Some(tail) => icompose(it, rewritten, tail),
+            }));
         }
     }
     Ok(None)
 }
 
-/// Try the rule at the root of an interned predicate term.
+/// Try the rule at the root of an interned predicate term (bindings left
+/// in `scratch.subst`, as for [`itry_apply_func`]).
 pub fn itry_apply_pred(
     rule: &Rule,
     t: &ITerm,
     dir: Direction,
     it: &mut Interner,
-) -> Result<Option<(ITerm, ISubst)>, RewriteError> {
+    scratch: &mut IScratch<'_>,
+) -> Result<Option<ITerm>, RewriteError> {
     if dir == Direction::Backward && !rule.bidirectional {
         return Ok(None);
     }
@@ -521,22 +544,25 @@ pub fn itry_apply_pred(
             Direction::Forward => (l, r),
             Direction::Backward => (r, l),
         };
-        let mut s = ISubst::new();
-        if imatch_pred(head, t, &mut s) {
-            let out = iinstantiate_pred(body, &s, it).map_err(|e| rule_failed(rule, e))?;
-            return Ok(Some((out, s)));
+        scratch.subst.clear();
+        if imatch_pred(head, t, &mut scratch.subst) {
+            let out =
+                iinstantiate_pred(body, &scratch.subst, it).map_err(|e| rule_failed(rule, e))?;
+            return Ok(Some(out));
         }
     }
     Ok(None)
 }
 
-/// Try the rule at the root of an interned query term.
+/// Try the rule at the root of an interned query term (bindings left in
+/// `scratch.subst`, as for [`itry_apply_func`]).
 pub fn itry_apply_query(
     rule: &Rule,
     t: &ITerm,
     dir: Direction,
     it: &mut Interner,
-) -> Result<Option<(ITerm, ISubst)>, RewriteError> {
+    scratch: &mut IScratch<'_>,
+) -> Result<Option<ITerm>, RewriteError> {
     if dir == Direction::Backward && !rule.bidirectional {
         return Ok(None);
     }
@@ -546,10 +572,11 @@ pub fn itry_apply_query(
             Direction::Forward => (l, r),
             Direction::Backward => (r, l),
         };
-        let mut s = ISubst::new();
-        if imatch_query(head, t, &mut s) {
-            let out = iinstantiate_query(body, &s, it).map_err(|e| rule_failed(rule, e))?;
-            return Ok(Some((out, s)));
+        scratch.subst.clear();
+        if imatch_query(head, t, &mut scratch.subst) {
+            let out =
+                iinstantiate_query(body, &scratch.subst, it).map_err(|e| rule_failed(rule, e))?;
+            return Ok(Some(out));
         }
     }
     Ok(None)
@@ -578,10 +605,11 @@ mod tests {
             .unwrap()
             .0
             .normalize();
-        let interned = itry_apply_func(&r, &it.intern_func(&t), Direction::Forward, &mut it)
+        let it_t = it.intern_func(&t);
+        let mut sc = IScratch::default();
+        let interned = itry_apply_func(&r, &it_t, Direction::Forward, &mut it, &mut sc)
             .unwrap()
-            .unwrap()
-            .0;
+            .unwrap();
         assert_eq!(interned.to_func(), boxed);
         // And it is the same node the boxed result interns to.
         assert!(interned.ptr_eq(&it.intern_func(&boxed)));
@@ -605,10 +633,15 @@ mod tests {
         let r = Rule::query("app", "apply", "($f . $g) ! ^x", "$f ! ($g ! ^x)");
         let q = parse_query("(a . b) ! P").unwrap().normalize();
         let iq = it.intern_query(&q);
-        let got = itry_apply_query(&r, &iq, Direction::Forward, &mut it)
-            .unwrap()
-            .unwrap()
-            .0;
+        let got = itry_apply_query(
+            &r,
+            &iq,
+            Direction::Forward,
+            &mut it,
+            &mut IScratch::default(),
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(got.to_query(), parse_query("a ! (b ! P)").unwrap());
     }
 
@@ -617,8 +650,14 @@ mod tests {
         let mut it = Interner::new();
         let r = Rule::func("x", "oneway", "id . $f", "$f").one_way();
         let t = it.intern_func(&parse_func("age").unwrap());
-        assert!(itry_apply_func(&r, &t, Direction::Backward, &mut it)
-            .unwrap()
-            .is_none());
+        assert!(itry_apply_func(
+            &r,
+            &t,
+            Direction::Backward,
+            &mut it,
+            &mut IScratch::default()
+        )
+        .unwrap()
+        .is_none());
     }
 }

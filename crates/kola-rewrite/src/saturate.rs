@@ -136,9 +136,9 @@ pub fn seed_trajectory(
     input: &Query,
     steps: &[Query],
 ) -> ClassId {
-    let root = eg.add_term(&it.intern_query(&input.normalize()));
+    let root = eg.add_term(&it.intern_query_normalized(input));
     for q in steps {
-        let c = eg.add_term(&it.intern_query(&q.normalize()));
+        let c = eg.add_term(&it.intern_query_normalized(q));
         eg.union(root, c);
     }
     eg.rebuild();
@@ -163,11 +163,8 @@ pub fn saturate_from_trajectory(
     // Cost the fixpoint output itself (the root class's best may already be
     // cheaper thanks to wave intermediates — we want the raw baseline).
     let fixpoint_cost = {
-        let fix_q = trajectory
-            .last()
-            .cloned()
-            .unwrap_or_else(|| input.normalize());
-        let fix_t = it.intern_query(&fix_q.normalize());
+        let fix_q = trajectory.last().unwrap_or(input);
+        let fix_t = it.intern_query_normalized(fix_q);
         term_cost(&fix_t, cost)
     };
 
@@ -986,7 +983,7 @@ impl Sat<'_, '_, '_> {
                 }
                 match self.rep(c) {
                     Some(t) => {
-                        s.funcs.insert(name.clone(), t.clone());
+                        s.bind_func(name, t);
                     }
                     None => return false,
                 }

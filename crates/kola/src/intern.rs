@@ -33,6 +33,7 @@
 use crate::term::{Func, Pred, Query};
 use crate::value::{Sym, Value};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -179,24 +180,61 @@ pub enum Payload {
 }
 
 impl Payload {
-    fn hash64(&self) -> u64 {
+    /// A borrowed view of this payload (what [`Interner::mk`] takes).
+    pub fn view(&self) -> PayloadRef<'_> {
+        match self {
+            Payload::None => PayloadRef::None,
+            Payload::Sym(s) => PayloadRef::Sym(s),
+            Payload::Bool(b) => PayloadRef::Bool(*b),
+            Payload::Value(v) => PayloadRef::Value(v),
+        }
+    }
+}
+
+/// A borrowed [`Payload`]: hash-consing looks nodes up by it, so a hit
+/// clones no symbol and boxes no literal. An owned payload is built only
+/// when [`Interner::mk`] constructs a new node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PayloadRef<'a> {
+    /// No payload.
+    None,
+    /// A symbol.
+    Sym(&'a Sym),
+    /// A boolean.
+    Bool(bool),
+    /// A literal value.
+    Value(&'a Value),
+}
+
+impl PayloadRef<'_> {
+    /// Structural hash; the literal is hashed in place.
+    fn hash64(self) -> u64 {
         let mut h = DefaultHasher::new();
         match self {
-            Payload::None => 0u8.hash(&mut h),
-            Payload::Sym(s) => {
+            PayloadRef::None => 0u8.hash(&mut h),
+            PayloadRef::Sym(s) => {
                 1u8.hash(&mut h);
                 s.hash(&mut h);
             }
-            Payload::Bool(b) => {
+            PayloadRef::Bool(b) => {
                 2u8.hash(&mut h);
                 b.hash(&mut h);
             }
-            Payload::Value(v) => {
+            PayloadRef::Value(v) => {
                 3u8.hash(&mut h);
                 v.hash(&mut h);
             }
         }
         h.finish()
+    }
+
+    fn to_owned(self) -> Payload {
+        match self {
+            PayloadRef::None => Payload::None,
+            PayloadRef::Sym(s) => Payload::Sym(s.clone()),
+            PayloadRef::Bool(b) => Payload::Bool(b),
+            PayloadRef::Value(v) => Payload::Value(Arc::new(v.clone())),
+        }
     }
 }
 
@@ -266,26 +304,17 @@ impl ITerm {
     /// Reify as a [`Func`]. Panics if this node is not function-level —
     /// levels are static in every caller, so a mismatch is an engine bug.
     pub fn to_func(&self) -> Func {
-        match self.reify() {
-            Out::F(f) => f,
-            _ => unreachable!("level mismatch: expected a Func node"),
-        }
+        self.reify().func()
     }
 
     /// Reify as a [`Pred`]. Panics on level mismatch (see [`ITerm::to_func`]).
     pub fn to_pred(&self) -> Pred {
-        match self.reify() {
-            Out::P(p) => p,
-            _ => unreachable!("level mismatch: expected a Pred node"),
-        }
+        self.reify().pred()
     }
 
     /// Reify as a [`Query`]. Panics on level mismatch (see [`ITerm::to_func`]).
     pub fn to_query(&self) -> Query {
-        match self.reify() {
-            Out::Q(q) => q,
-            _ => unreachable!("level mismatch: expected a Query node"),
-        }
+        self.reify().query()
     }
 
     /// Stack-safe reification of this node back into boxed terms.
@@ -300,13 +329,14 @@ impl ITerm {
             match task {
                 Walk::Visit(t) => {
                     tasks.push(Walk::Build(t));
-                    for k in t.kids().iter().rev() {
-                        tasks.push(Walk::Visit(k));
-                    }
+                    tasks.extend(t.kids().iter().rev().map(Walk::Visit));
                 }
                 Walk::Build(t) => {
-                    let kids = out.split_off(out.len() - t.kids().len());
-                    out.push(build_node(t.tag(), t.payload(), kids));
+                    // The kids are the top of `out`, in order: drained in
+                    // place rather than split off into a vector of their own.
+                    let at = out.len() - t.kids().len();
+                    let node = build_node(t.tag(), t.payload(), out.drain(at..));
+                    out.push(node);
                 }
             }
         }
@@ -322,30 +352,38 @@ enum Out {
 }
 
 impl Out {
-    fn f(self) -> Box<Func> {
+    fn func(self) -> Func {
         match self {
-            Out::F(f) => Box::new(f),
-            _ => unreachable!("kid level mismatch: expected Func"),
+            Out::F(f) => f,
+            _ => unreachable!("level mismatch: expected Func"),
         }
+    }
+    fn pred(self) -> Pred {
+        match self {
+            Out::P(p) => p,
+            _ => unreachable!("level mismatch: expected Pred"),
+        }
+    }
+    fn query(self) -> Query {
+        match self {
+            Out::Q(q) => q,
+            _ => unreachable!("level mismatch: expected Query"),
+        }
+    }
+    fn f(self) -> Box<Func> {
+        Box::new(self.func())
     }
     fn p(self) -> Box<Pred> {
-        match self {
-            Out::P(p) => Box::new(p),
-            _ => unreachable!("kid level mismatch: expected Pred"),
-        }
+        Box::new(self.pred())
     }
     fn q(self) -> Box<Query> {
-        match self {
-            Out::Q(q) => Box::new(q),
-            _ => unreachable!("kid level mismatch: expected Query"),
-        }
+        Box::new(self.query())
     }
 }
 
 /// Build one boxed node from a tag, payload and already-reified children.
-fn build_node(tag: Tag, payload: &Payload, kids: Vec<Out>) -> Out {
-    let mut k = kids.into_iter();
-    let mut next = || k.next().expect("arity checked at intern time");
+fn build_node(tag: Tag, payload: &Payload, mut kids: impl Iterator<Item = Out>) -> Out {
+    let mut next = || kids.next().expect("arity checked at intern time");
     let sym = || match payload {
         Payload::Sym(s) => s.clone(),
         _ => unreachable!("payload mismatch: expected Sym"),
@@ -398,8 +436,8 @@ fn build_node(tag: Tag, payload: &Payload, kids: Vec<Out>) -> Out {
         },
         Tag::QExtent => Out::Q(Query::Extent(sym())),
         Tag::QPairQ => Out::Q(Query::PairQ(next().q(), next().q())),
-        Tag::QApp => Out::Q(Query::App(*next().f(), next().q())),
-        Tag::QTest => Out::Q(Query::Test(*next().p(), next().q())),
+        Tag::QApp => Out::Q(Query::App(next().func(), next().q())),
+        Tag::QTest => Out::Q(Query::Test(next().pred(), next().q())),
         Tag::QUnion => Out::Q(Query::Union(next().q(), next().q())),
         Tag::QIntersect => Out::Q(Query::Intersect(next().q(), next().q())),
         Tag::QDiff => Out::Q(Query::Diff(next().q(), next().q())),
@@ -407,63 +445,135 @@ fn build_node(tag: Tag, payload: &Payload, kids: Vec<Out>) -> Out {
 }
 
 /// Source term at any of the three levels (borrowed, for interning).
+#[derive(Clone, Copy)]
 enum Src<'a> {
     F(&'a Func),
     P(&'a Pred),
     Q(&'a Query),
 }
 
+/// A node's borrowed children, in intern order (arity is at most three).
+type Kids<'a> = [Option<Src<'a>>; 3];
+
 impl<'a> Src<'a> {
     /// Tag, payload, and borrowed children of this node, in intern order.
-    fn decompose(&self) -> (Tag, Payload, Vec<Src<'a>>) {
+    fn decompose(self) -> (Tag, PayloadRef<'a>, Kids<'a>) {
         use Src::{F, P, Q};
+        let none = PayloadRef::None;
         match self {
             F(f) => {
                 let tag = Tag::of_func(f);
                 match f {
-                    Func::Prim(s) => (tag, Payload::Sym(s.clone()), vec![]),
+                    Func::Prim(s) => (tag, PayloadRef::Sym(s), [None; 3]),
                     Func::Compose(a, b)
                     | Func::PairWith(a, b)
                     | Func::Times(a, b)
                     | Func::Nest(a, b)
-                    | Func::Unnest(a, b) => (tag, Payload::None, vec![F(a), F(b)]),
-                    Func::ConstF(q) => (tag, Payload::None, vec![Q(q)]),
-                    Func::CurryF(g, q) => (tag, Payload::None, vec![F(g), Q(q)]),
-                    Func::Cond(p, g, h) => (tag, Payload::None, vec![P(p), F(g), F(h)]),
+                    | Func::Unnest(a, b) => (tag, none, [Some(F(a)), Some(F(b)), None]),
+                    Func::ConstF(q) => (tag, none, [Some(Q(q)), None, None]),
+                    Func::CurryF(g, q) => (tag, none, [Some(F(g)), Some(Q(q)), None]),
+                    Func::Cond(p, g, h) => (tag, none, [Some(P(p)), Some(F(g)), Some(F(h))]),
                     Func::Iterate(p, g)
                     | Func::Iter(p, g)
                     | Func::Join(p, g)
-                    | Func::BIterate(p, g) => (tag, Payload::None, vec![P(p), F(g)]),
-                    _ => (tag, Payload::None, vec![]),
+                    | Func::BIterate(p, g) => (tag, none, [Some(P(p)), Some(F(g)), None]),
+                    _ => (tag, none, [None; 3]),
                 }
             }
             P(p) => {
                 let tag = Tag::of_pred(p);
                 match p {
-                    Pred::PrimP(s) => (tag, Payload::Sym(s.clone()), vec![]),
-                    Pred::Oplus(q, g) => (tag, Payload::None, vec![P(q), F(g)]),
-                    Pred::And(a, b) | Pred::Or(a, b) => (tag, Payload::None, vec![P(a), P(b)]),
-                    Pred::Not(q) | Pred::Conv(q) => (tag, Payload::None, vec![P(q)]),
-                    Pred::ConstP(b) => (tag, Payload::Bool(*b), vec![]),
-                    Pred::CurryP(q, x) => (tag, Payload::None, vec![P(q), Q(x)]),
-                    _ => (tag, Payload::None, vec![]),
+                    Pred::PrimP(s) => (tag, PayloadRef::Sym(s), [None; 3]),
+                    Pred::Oplus(q, g) => (tag, none, [Some(P(q)), Some(F(g)), None]),
+                    Pred::And(a, b) | Pred::Or(a, b) => (tag, none, [Some(P(a)), Some(P(b)), None]),
+                    Pred::Not(q) | Pred::Conv(q) => (tag, none, [Some(P(q)), None, None]),
+                    Pred::ConstP(b) => (tag, PayloadRef::Bool(*b), [None; 3]),
+                    Pred::CurryP(q, x) => (tag, none, [Some(P(q)), Some(Q(x)), None]),
+                    _ => (tag, none, [None; 3]),
                 }
             }
             Q(q) => {
                 let tag = Tag::of_query(q);
                 match q {
-                    Query::Lit(v) => (tag, Payload::Value(Arc::new(v.clone())), vec![]),
-                    Query::Extent(s) => (tag, Payload::Sym(s.clone()), vec![]),
+                    Query::Lit(v) => (tag, PayloadRef::Value(v), [None; 3]),
+                    Query::Extent(s) => (tag, PayloadRef::Sym(s), [None; 3]),
                     Query::PairQ(a, b)
                     | Query::Union(a, b)
                     | Query::Intersect(a, b)
-                    | Query::Diff(a, b) => (tag, Payload::None, vec![Q(a), Q(b)]),
-                    Query::App(f, x) => (tag, Payload::None, vec![F(f), Q(x)]),
-                    Query::Test(p, x) => (tag, Payload::None, vec![P(p), Q(x)]),
+                    | Query::Diff(a, b) => (tag, none, [Some(Q(a)), Some(Q(b)), None]),
+                    Query::App(f, x) => (tag, none, [Some(F(f)), Some(Q(x)), None]),
+                    Query::Test(p, x) => (tag, none, [Some(P(p)), Some(Q(x)), None]),
                 }
             }
         }
     }
+}
+
+/// The one post-order walk over a borrowed term, shared by interning and
+/// [`query_fp`]: `build` folds a node's tag, payload and already-folded
+/// children (a slice of the result stack) into the node's value.
+///
+/// With `normalize`, every `∘`-spine is flattened on the way down and
+/// rebuilt right-associated on the way up — the [`Func::normalize`] shape —
+/// so a left-nested composition is never folded at all. Explicit stacks
+/// make it safe on chains of any length, and they are the walk's only
+/// allocations: none is made per node.
+fn fold_post<'a, T>(
+    root: Src<'a>,
+    normalize: bool,
+    mut build: impl FnMut(Tag, PayloadRef<'a>, &[T]) -> T,
+) -> T {
+    enum Walk<'a> {
+        Visit(Src<'a>),
+        Build(Tag, PayloadRef<'a>, usize),
+        /// Right-associate the top `n` results (a flattened spine).
+        Chain(usize),
+    }
+    let mut tasks = vec![Walk::Visit(root)];
+    let mut out: Vec<T> = Vec::new();
+    let mut spine: Vec<&'a Func> = Vec::new();
+    let mut fold = |out: &mut Vec<T>, tag, payload, n: usize| {
+        let at = out.len() - n;
+        let node = build(tag, payload, &out[at..]);
+        out.truncate(at);
+        out.push(node);
+    };
+    while let Some(task) = tasks.pop() {
+        match task {
+            Walk::Visit(Src::F(f @ Func::Compose(..))) if normalize => {
+                // Segments are pushed right to left, so the leftmost is
+                // folded first, exactly as in the normalized term's
+                // post-order.
+                let at = tasks.len();
+                tasks.push(Walk::Chain(0));
+                let mut n = 0;
+                spine.push(f);
+                while let Some(g) = spine.pop() {
+                    if let Func::Compose(a, b) = g {
+                        spine.push(a);
+                        spine.push(b);
+                    } else {
+                        tasks.push(Walk::Visit(Src::F(g)));
+                        n += 1;
+                    }
+                }
+                tasks[at] = Walk::Chain(n);
+            }
+            Walk::Visit(src) => {
+                let (tag, payload, kids) = src.decompose();
+                let n = kids.iter().flatten().count();
+                tasks.push(Walk::Build(tag, payload, n));
+                tasks.extend(kids.into_iter().rev().flatten().map(Walk::Visit));
+            }
+            Walk::Build(tag, payload, n) => fold(&mut out, tag, payload, n),
+            Walk::Chain(n) => {
+                for _ in 1..n {
+                    fold(&mut out, Tag::FCompose, PayloadRef::None, 2);
+                }
+            }
+        }
+    }
+    out.pop().expect("the walk yields exactly one value")
 }
 
 /// 64-bit finalizer (splitmix64-style) used to mix fingerprints.
@@ -476,57 +586,44 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
+/// A node's structural fingerprint from its tag, payload and children's
+/// fingerprints — the one computation behind both [`ITerm::fp`] and
+/// [`query_fp`].
+fn node_fp(tag: Tag, payload: PayloadRef<'_>, kids: impl Iterator<Item = u64>) -> u64 {
+    let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
+    if !matches!(payload, PayloadRef::None) {
+        fp = mix(fp ^ payload.hash64());
+    }
+    for k in kids {
+        fp = mix(fp.rotate_left(13) ^ k);
+    }
+    fp
+}
+
 /// The structural fingerprint of a borrowed query, computed without an
 /// arena: for every query `q` and every interner `it`,
-/// `query_fp(&q) == it.intern_query(&q).fp()`. One stack-safe post-order
-/// walk that interns (and allocates) nothing beyond its explicit stack —
-/// usable as a cache key on threads that own no interner (the plan cache
-/// in `kola-service` keys on it at submission time). Equal queries always
-/// agree; distinct queries collide with probability ≈ 2⁻⁶⁴, so callers
-/// that key on it must confirm hits structurally.
+/// `query_fp(&q) == it.intern_query(&q).fp()`. It runs interning's own
+/// stack-safe walk, folding fingerprints instead of nodes, and hashes
+/// literals in place — no arena, no allocation beyond the walk's two
+/// stacks. Usable as a cache key on threads that own no interner (the plan
+/// cache in `kola-service` keys on it at submission time). Equal queries
+/// always agree; distinct queries collide with probability ≈ 2⁻⁶⁴, so
+/// callers that key on it must confirm hits structurally.
 pub fn query_fp(q: &Query) -> u64 {
-    // Second stack mirrors `Interner::intern`: fingerprints of completed
-    // subterms, consumed in arity-sized groups by their parent.
-    enum Walk<'a> {
-        Visit(Src<'a>),
-        Build(Tag, Payload, usize),
-    }
-    let mut tasks = vec![Walk::Visit(Src::Q(q))];
-    let mut out: Vec<u64> = Vec::new();
-    while let Some(task) = tasks.pop() {
-        match task {
-            Walk::Visit(src) => {
-                let (tag, payload, kids) = src.decompose();
-                tasks.push(Walk::Build(tag, payload, kids.len()));
-                for k in kids.into_iter().rev() {
-                    tasks.push(Walk::Visit(k));
-                }
-            }
-            Walk::Build(tag, payload, n) => {
-                let kids = out.split_off(out.len() - n);
-                // Exactly `Interner::mk`'s fingerprint computation — the
-                // equality contract above depends on the two never
-                // diverging.
-                let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
-                if !matches!(payload, Payload::None) {
-                    fp = mix(fp ^ payload.hash64());
-                }
-                for k in kids {
-                    fp = mix(fp.rotate_left(13) ^ k);
-                }
-                out.push(fp);
-            }
-        }
-    }
-    out.pop().expect("fp walk yields exactly one value")
+    fold_post(Src::Q(q), false, |tag, payload, kids: &[u64]| {
+        node_fp(tag, payload, kids.iter().copied())
+    })
 }
 
 /// The hash-cons arena: owns every node it has built and deduplicates
 /// structurally equal constructions.
 #[derive(Debug, Default)]
 pub struct Interner {
-    /// fingerprint → nodes with that fingerprint (collision bucket).
-    table: HashMap<u64, Vec<ITerm>>,
+    /// fingerprint → the first node built with that fingerprint.
+    table: HashMap<u64, ITerm>,
+    /// Later nodes whose fingerprint collides with a `table` entry's
+    /// (probability ≈ 2⁻⁶⁴ per pair, so practically always empty).
+    collisions: HashMap<u64, Vec<ITerm>>,
     /// Number of `mk` calls that had to *construct* (cache misses) — a
     /// deterministic work counter for tests and benches.
     constructed: u64,
@@ -581,7 +678,8 @@ impl Interner {
     /// such a handle cascades child by child.
     pub fn clear(&mut self) {
         self.live = 0;
-        let mut nodes: Vec<ITerm> = self.table.drain().flat_map(|(_, v)| v).collect();
+        let mut nodes: Vec<ITerm> = self.table.drain().map(|(_, t)| t).collect();
+        nodes.extend(self.collisions.drain().flat_map(|(_, v)| v));
         nodes.sort_by_key(|n| std::cmp::Reverse(n.size()));
         for n in nodes {
             drop(n);
@@ -589,36 +687,42 @@ impl Interner {
     }
 
     /// Intern one node whose children are already interned. Returns the
-    /// canonical handle: if an identical node exists it is reused.
-    pub fn mk(&mut self, tag: Tag, payload: Payload, kids: Vec<ITerm>) -> ITerm {
-        let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
-        if !matches!(payload, Payload::None) {
-            fp = mix(fp ^ payload.hash64());
-        }
-        for k in &kids {
-            fp = mix(fp.rotate_left(13) ^ k.fp());
-        }
-        let bucket = self.table.entry(fp).or_default();
-        for t in bucket.iter() {
-            if t.tag() == tag
+    /// canonical handle: if an identical node exists it is reused. A hit
+    /// allocates nothing — the node is looked up by the borrowed payload
+    /// and kid slice; only a miss builds the owned node.
+    pub fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[ITerm]) -> ITerm {
+        let fp = node_fp(tag, payload, kids.iter().map(ITerm::fp));
+        let same = |t: &ITerm| {
+            t.tag() == tag
                 && t.kids().len() == kids.len()
-                && t.kids().iter().zip(&kids).all(|(a, b)| a.ptr_eq(b))
-                && *t.payload() == payload
-            {
-                return t.clone();
+                && t.kids().iter().zip(kids).all(|(a, b)| a.ptr_eq(b))
+                && t.payload().view() == payload
+        };
+        let build = || {
+            ITerm(Arc::new(INode {
+                tag,
+                payload: payload.to_owned(),
+                kids: kids.into(),
+                fp,
+                size: 1 + kids.iter().map(ITerm::size).sum::<usize>(),
+                depth: 1 + kids.iter().map(ITerm::depth).max().unwrap_or(0),
+            }))
+        };
+        let node = match self.table.entry(fp) {
+            Entry::Occupied(e) => {
+                if same(e.get()) {
+                    return e.get().clone();
+                }
+                let bucket = self.collisions.entry(fp).or_default();
+                if let Some(t) = bucket.iter().find(|t| same(t)) {
+                    return t.clone();
+                }
+                let node = build();
+                bucket.push(node.clone());
+                node
             }
-        }
-        let size = 1 + kids.iter().map(|k| k.size()).sum::<usize>();
-        let depth = 1 + kids.iter().map(|k| k.depth()).max().unwrap_or(0);
-        let node = ITerm(Arc::new(INode {
-            tag,
-            payload,
-            kids: kids.into_boxed_slice(),
-            fp,
-            size,
-            depth,
-        }));
-        bucket.push(node.clone());
+            Entry::Vacant(e) => e.insert(build()).clone(),
+        };
         self.constructed += 1;
         self.live += 1;
         self.peak = self.peak.max(self.live);
@@ -627,43 +731,32 @@ impl Interner {
 
     /// Intern a concrete function.
     pub fn intern_func(&mut self, f: &Func) -> ITerm {
-        self.intern(Src::F(f))
+        self.intern(Src::F(f), false)
     }
 
     /// Intern a concrete predicate.
     pub fn intern_pred(&mut self, p: &Pred) -> ITerm {
-        self.intern(Src::P(p))
+        self.intern(Src::P(p), false)
     }
 
     /// Intern a concrete query.
     pub fn intern_query(&mut self, q: &Query) -> ITerm {
-        self.intern(Src::Q(q))
+        self.intern(Src::Q(q), false)
+    }
+
+    /// Intern `q` right-normalized: the node `intern_query(&q.normalize())`
+    /// returns, without building the boxed normalized copy. Every
+    /// `∘`-spine is re-associated during the walk, so no left-nested node
+    /// enters the arena.
+    pub fn intern_query_normalized(&mut self, q: &Query) -> ITerm {
+        self.intern(Src::Q(q), true)
     }
 
     /// Stack-safe bottom-up interning of a borrowed term.
-    fn intern(&mut self, root: Src<'_>) -> ITerm {
-        enum Walk<'a> {
-            Visit(Src<'a>),
-            Build(Tag, Payload, usize),
-        }
-        let mut tasks = vec![Walk::Visit(root)];
-        let mut out: Vec<ITerm> = Vec::new();
-        while let Some(task) = tasks.pop() {
-            match task {
-                Walk::Visit(src) => {
-                    let (tag, payload, kids) = src.decompose();
-                    tasks.push(Walk::Build(tag, payload, kids.len()));
-                    for k in kids.into_iter().rev() {
-                        tasks.push(Walk::Visit(k));
-                    }
-                }
-                Walk::Build(tag, payload, n) => {
-                    let kids = out.split_off(out.len() - n);
-                    out.push(self.mk(tag, payload, kids));
-                }
-            }
-        }
-        out.pop().expect("intern yields exactly one term")
+    fn intern(&mut self, root: Src<'_>, normalize: bool) -> ITerm {
+        fold_post(root, normalize, |tag, payload, kids| {
+            self.mk(tag, payload, kids)
+        })
     }
 }
 
@@ -722,6 +815,33 @@ mod tests {
         // Distinct queries get distinct fingerprints (on this corpus).
         let fps: std::collections::BTreeSet<u64> = corpus.iter().map(query_fp).collect();
         assert_eq!(fps.len(), corpus.len());
+    }
+
+    #[test]
+    fn normalizing_intern_is_intern_of_normalize() {
+        for src in [
+            "id ! P",
+            "(a . b) . c ! P",
+            "iterate(Kp(T), (a . b) . (c . d)) . ((e . f) . g) ! P",
+            "((a . b) . c, d . (e . f)) ! P",
+            "Kf((x . y) . z ! P) . w ! P union ((a . b) . c ! Q)",
+            "iterate(eq @ ((a . b) . c, Kf(1)), id) ! P",
+        ] {
+            let q = crate::parse::parse_query(src).unwrap();
+            let mut boxed = Interner::new();
+            let want = boxed.intern_query(&q.normalize());
+            let mut walk = Interner::new();
+            let got = walk.intern_query_normalized(&q);
+            assert_eq!(got.to_query(), want.to_query(), "{src}");
+            assert_eq!(got.fp(), want.fp(), "{src}");
+            // Exactly the normalized term's nodes, and no left-nested one.
+            assert_eq!(walk.len(), boxed.len(), "{src}");
+            assert_eq!(walk.constructed(), boxed.constructed(), "{src}");
+            // Within one arena it is the very same node.
+            let again = boxed.intern_query_normalized(&q);
+            assert!(again.ptr_eq(&want), "{src}");
+            assert_eq!(boxed.len(), walk.len(), "{src}");
+        }
     }
 
     #[test]
